@@ -15,6 +15,7 @@ from .gbs_engine import (
     MODE_PNR,
     MODE_THRESHOLD,
     GbsEncoding,
+    GraphSampler,
     SampleBatch,
     TakagiFactors,
     calibrate_scaling,
@@ -34,6 +35,7 @@ from .graph_core import (
     load_points_csv,
     percentile,
     save_points_csv,
+    threshold_graph,
     upper_triangle_values,
 )
 from .matchers import (

@@ -248,15 +248,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         points = generate_dataset(
             _derive_seed(config.master_seed, idx, 1), m, config, profile=profile
         )
-        d = graph_core.compute_distance_matrix(points)
-        d_tilde = graph_core.percentile(
-            graph_core.upper_triangle_values(d), config.d_percentile
-        )
-        a = (
-            graph_core.build_adjacency(d, d_tilde)
-            if d_tilde > 0
-            else np.zeros_like(d)
-        )
+        a = graph_core.threshold_graph(points, config.d_percentile)
         for method in METHODS:
             row = BenchRow(dataset_id=idx, method=method)
             try:

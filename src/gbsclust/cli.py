@@ -6,7 +6,6 @@ import json
 import sys
 
 import click
-import numpy as np
 
 from . import baselines, bench, gbs_engine, graph_core, matchers, qclust
 
@@ -19,16 +18,6 @@ def _write_clustering(clustering: qclust.Clustering, points, out_path: str) -> N
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     click.echo(f"wrote {out_path} ({len(clustering.clusters)} clusters)")
-
-
-def _threshold_graph(points, d_percentile: float) -> np.ndarray:
-    d = graph_core.compute_distance_matrix(points)
-    d_tilde = graph_core.percentile(
-        graph_core.upper_triangle_values(d), d_percentile
-    )
-    if d_tilde <= 0:
-        return np.zeros_like(d)
-    return graph_core.build_adjacency(d, d_tilde)
 
 
 @click.group()
@@ -81,7 +70,7 @@ def kmeans(input_path, k, k_max, seed, out_path):
 def dbscan(input_path, eps, min_pts, d_percentile, out_path):
     """Cluster a points CSV with DBSCAN plus graph noise reattachment."""
     points = graph_core.load_points_csv(input_path)
-    a = _threshold_graph(points, d_percentile)
+    a = graph_core.threshold_graph(points, d_percentile)
     clustering = baselines.dbscan_with_postprocess(points, eps, min_pts, a)
     _write_clustering(clustering, points, out_path)
 

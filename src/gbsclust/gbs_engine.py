@@ -9,10 +9,11 @@ node subsets S of the encoded graph is
     threshold:         P(S) proportional to Tor(O_S),  O = [[0, cA], [cA, 0]]
 
 where A_S is the induced submatrix and O_S keeps the paired rows/columns of
-S.  At the scales this package targets (M <= 26 nodes) the sampler simply
-enumerates every subset weight, normalizes, and draws from the exact
+S.  At the scales this package targets (M <= 26 nodes) a ``GraphSampler``
+enumerates every subset weight once, normalizes, and draws from the exact
 categorical distribution, which makes every downstream result reproducible
-from a seed.
+from a seed.  Nothing is kept between calls: the weight table belongs to
+the sampler that built it.
 
 ``probability_pnr`` evaluates the full photon-number-resolved probability of
 an arbitrary pattern (repetitions allowed) and exists as the oracle that
@@ -21,10 +22,9 @@ normalization and threshold-mode tests are checked against.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +50,7 @@ __all__ = [
     "TakagiFactors",
     "GbsEncoding",
     "SampleBatch",
+    "GraphSampler",
     "takagi",
     "calibrate_scaling",
     "encode",
@@ -159,13 +160,15 @@ def calibrate_scaling(lam: np.ndarray, n_mean: float) -> float:
 
     Solves sum_i (c lam_i)^2 / (1 - (c lam_i)^2) = n_mean by bisection; the
     left side is strictly increasing in c and diverges at 1/lam_max, so the
-    root exists and is unique for any positive target.
+    root exists and is unique for any finite positive target.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.size == 0 or float(lam.max()) <= 0.0:
         raise NoSolutionError("cannot calibrate scaling: all singular values are 0")
-    if n_mean <= 0.0:
-        raise InvalidInputError(f"mean photon target must be positive, got {n_mean}")
+    if not (math.isfinite(n_mean) and n_mean > 0.0):
+        raise InvalidInputError(
+            f"mean photon target must be finite and positive, got {n_mean}"
+        )
     lam_max = float(lam.max())
 
     def mean_photons(c: float) -> float:
@@ -271,42 +274,63 @@ def _threshold_weights(a: np.ndarray, c: float) -> np.ndarray:
     return w
 
 
-class _WeightCache:
-    """Tiny LRU keyed by (matrix bytes, c, mode) holding cumulative weights."""
+class GraphSampler:
+    """Exact GBS sampler of one graph.
 
-    def __init__(self, capacity: int = 2):
-        self.capacity = capacity
-        self._store: OrderedDict[tuple, np.ndarray] = OrderedDict()
+    The constructor checks the mode and the enumeration bound (raising
+    CapacityError beyond it).  The first ``draw``, or the first read of
+    ``cum``, encodes ``a`` for ``n_mean`` photons and enumerates the
+    cumulative weight of every node subset, raising DegenerateGraphError
+    when no subset carries mass (edgeless graph); later draws cost
+    O(n_samples).  The 2^M table lives exactly as long as the sampler, so
+    its owner decides how long the memory stays in use.
+    """
 
-    def key(self, a: np.ndarray, c: float, mode: str) -> tuple:
-        digest = hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-        return (digest, a.shape[0], float(c).hex(), mode)
+    def __init__(self, a: np.ndarray, n_mean: float, mode: str = MODE_PNR):
+        self.a = _check_symmetric(a)
+        self.m = self.a.shape[0]
+        if mode not in (MODE_PNR, MODE_THRESHOLD):
+            raise InvalidInputError(f"unknown sampling mode {mode!r}")
+        limit = PNR_MAX_NODES if mode == MODE_PNR else THRESHOLD_MAX_NODES
+        if self.m > limit:
+            raise CapacityError(
+                f"{self.m} nodes exceeds the {mode} enumeration bound {limit}"
+            )
+        self.n_mean = n_mean
+        self.mode = mode
 
-    def get(self, key: tuple) -> np.ndarray | None:
-        if key in self._store:
-            self._store.move_to_end(key)
-            return self._store[key]
-        return None
+    @functools.cached_property
+    def cum(self) -> np.ndarray:
+        """Cumulative weight of every subset mask, in mask order."""
+        if float(np.abs(self.a).sum()) == 0.0:
+            # only the empty subset would carry mass, and calibration has no root
+            raise DegenerateGraphError("graph has no edges, nothing to sample")
+        c = encode(self.a, self.n_mean, self.mode).c
+        weights = (
+            _pnr_weights(self.a, c) if self.mode == MODE_PNR
+            else _threshold_weights(self.a, c)
+        )
+        np.cumsum(weights, out=weights)
+        if weights[-1] <= 0.0:
+            raise DegenerateGraphError("zero total sampling weight")
+        return weights
 
-    def put(self, key: tuple, value: np.ndarray) -> None:
-        self._store[key] = value
-        self._store.move_to_end(key)
-        while len(self._store) > self.capacity:
-            self._store.popitem(last=False)
+    @property
+    def total(self) -> float:
+        """Unnormalized mass of the whole subset lattice."""
+        return float(self.cum[-1])
 
-
-_cache = _WeightCache()
-
-
-def _cumulative_weights(a: np.ndarray, c: float, mode: str) -> np.ndarray:
-    key = _cache.key(a, c, mode)
-    cached = _cache.get(key)
-    if cached is not None:
-        return cached
-    weights = _pnr_weights(a, c) if mode == MODE_PNR else _threshold_weights(a, c)
-    np.cumsum(weights, out=weights)
-    _cache.put(key, weights)
-    return weights
+    def draw(self, n_samples: int, seed: int | None = None) -> SampleBatch:
+        """Draw ``n_samples`` node subsets, reproducibly for an integer seed."""
+        if n_samples < 1:
+            raise InvalidInputError("need at least one sample")
+        rng = np.random.default_rng(seed)
+        u = rng.random(n_samples) * self.total
+        masks = np.searchsorted(self.cum, u, side="right")
+        samples = [
+            tuple(i for i in range(self.m) if (int(mask) >> i) & 1) for mask in masks
+        ]
+        return SampleBatch(samples=samples, n=n_samples, seed=seed, mode=self.mode)
 
 
 def sample(
@@ -315,39 +339,24 @@ def sample(
     n_samples: int,
     mode: str = MODE_PNR,
     seed: int | None = None,
+    sampler: GraphSampler | None = None,
 ) -> SampleBatch:
     """Draw ``n_samples`` node subsets from the exact GBS distribution.
 
-    Subset weights for the whole 2^M lattice are enumerated once per
-    (matrix, scale, mode) and cached, so repeated sampling rounds on the
-    same graph cost O(n_samples).  Raises CapacityError beyond the
-    enumeration bound and DegenerateGraphError when no subset carries mass
-    (edgeless graph in pnr mode).
+    Without ``sampler`` this builds a throwaway :class:`GraphSampler`, so
+    the subset weights are enumerated on every call.  Callers that draw
+    repeatedly from one graph pass the sampler they built for the same
+    ``(a, n_mean, mode)``; its table is then enumerated once.
     """
-    a = _check_symmetric(a)
-    m = a.shape[0]
-    if mode not in (MODE_PNR, MODE_THRESHOLD):
-        raise InvalidInputError(f"unknown sampling mode {mode!r}")
-    limit = PNR_MAX_NODES if mode == MODE_PNR else THRESHOLD_MAX_NODES
-    if m > limit:
-        raise CapacityError(f"{m} nodes exceeds the {mode} enumeration bound {limit}")
-    if n_samples < 1:
-        raise InvalidInputError("need at least one sample")
-    if float(np.abs(a).sum()) == 0.0:
-        # only the empty subset would carry mass, and calibration has no root
-        raise DegenerateGraphError("graph has no edges, nothing to sample")
-    enc = encode(a, n_mean, mode)
-    cum = _cumulative_weights(a, enc.c, mode)
-    total = float(cum[-1])
-    if total <= 0.0:
-        raise DegenerateGraphError("zero total sampling weight")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n_samples) * total
-    masks = np.searchsorted(cum, u, side="right")
-    samples = [
-        tuple(i for i in range(m) if (int(mask) >> i) & 1) for mask in masks
-    ]
-    return SampleBatch(samples=samples, n=n_samples, seed=seed, mode=mode)
+    if sampler is None:
+        sampler = GraphSampler(a, n_mean, mode)
+    elif not (
+        sampler.mode == mode
+        and sampler.n_mean == n_mean
+        and np.array_equal(sampler.a, a)
+    ):
+        raise InvalidInputError("sampler was built for another graph, target or mode")
+    return sampler.draw(n_samples, seed)
 
 
 def subset_distribution(a: np.ndarray, n_mean: float, mode: str = MODE_PNR) -> dict[tuple[int, ...], float]:
@@ -355,14 +364,12 @@ def subset_distribution(a: np.ndarray, n_mean: float, mode: str = MODE_PNR) -> d
 
     Exposed for tests and diagnostics; zero-probability subsets are omitted.
     """
-    a = _check_symmetric(a)
-    enc = encode(a, n_mean, mode)
-    cum = _cumulative_weights(a, enc.c, mode)
-    weights = np.diff(cum, prepend=0.0)
-    total = float(cum[-1])
+    sampler = GraphSampler(a, n_mean, mode)
+    weights = np.diff(sampler.cum, prepend=0.0)
+    total = sampler.total
     out: dict[tuple[int, ...], float] = {}
     for mask in np.nonzero(weights > 0.0)[0]:
-        subset = tuple(i for i in range(a.shape[0]) if (int(mask) >> i) & 1)
+        subset = tuple(i for i in range(sampler.m) if (int(mask) >> i) & 1)
         out[subset] = float(weights[mask] / total)
     return out
 

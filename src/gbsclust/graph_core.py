@@ -21,6 +21,7 @@ __all__ = [
     "upper_triangle_values",
     "percentile",
     "build_adjacency",
+    "threshold_graph",
     "check_adjacency",
     "graph_density",
     "induced_subgraph",
@@ -104,6 +105,23 @@ def build_adjacency(d: np.ndarray, d_tilde: float) -> np.ndarray:
     a = (d < d_tilde).astype(float)
     np.fill_diagonal(a, 0.0)
     return a
+
+
+def threshold_graph(
+    points: PointSet, d_percentile: float, d_tilde: float | None = None
+) -> np.ndarray:
+    """Threshold graph of a point set.
+
+    The distance threshold is ``d_tilde`` when given, else the
+    ``d_percentile`` percentile of pairwise distances.  A threshold at or
+    below 0, as when many points coincide, gives the edgeless graph.
+    """
+    d = compute_distance_matrix(points)
+    if d_tilde is None:
+        d_tilde = percentile(upper_triangle_values(d), d_percentile)
+    if d_tilde <= 0:
+        return np.zeros_like(d)
+    return build_adjacency(d, d_tilde)
 
 
 def check_adjacency(a: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .graph_core import PointSet, compute_distance_matrix, edge_counts, graph_density
+from .graph_core import PointSet, compute_distance_matrix, edge_counts
+from .graph_core import graph_density  # noqa: F401  (re-exported)
 from .qclust import Clustering
 
 __all__ = [
@@ -92,51 +93,50 @@ def silhouette(points: PointSet, clustering: Clustering) -> float:
     return float(scores.mean())
 
 
-def weighted_density(clustering: Clustering, a: np.ndarray) -> float:
-    """Size-weighted mean of per-cluster densities; singletons count as 1."""
-    total = 0.0
-    for cluster in clustering.clusters:
-        d_i = 1.0 if len(cluster) == 1 else graph_density(a, cluster)
-        total += len(cluster) * d_i
-    return total / clustering.n_points
+def _breakdown(
+    clustering: Clustering, a: np.ndarray
+) -> tuple[list[ClusterBreakdown], float, float]:
+    """Per-cluster breakdown, plus the weighted density and cohesion read off it.
 
-
-def cohesion(clustering: Clustering, a: np.ndarray) -> float:
-    """Mean over clusters of internal density minus external connectivity.
-
-    delta_int is edges_int / (n_i (n_i - 1) / 2), taken as 1 for singletons;
-    delta_ext is edges_ext / (n_i (M - n_i)), 0 when the cluster is the
-    whole graph.
+    ``a`` is the binary threshold graph, on which the cluster's subgraph
+    density equals delta_int = edges_int / (n_i (n_i - 1) / 2), taken as 1
+    for singletons; delta_ext is edges_ext / (n_i (M - n_i)), 0 when the
+    cluster is the whole graph.
     """
     m = clustering.n_points
-    deltas = []
+    breakdown = []
+    total = 0.0
     for cluster in clustering.clusters:
         n_i = len(cluster)
         internal, external = edge_counts(a, cluster)
         d_int = 1.0 if n_i == 1 else internal / (n_i * (n_i - 1) / 2.0)
         d_ext = 0.0 if n_i == m else external / (n_i * (m - n_i))
-        deltas.append(d_int - d_ext)
-    return float(np.mean(deltas))
+        total += n_i * d_int
+        breakdown.append(
+            ClusterBreakdown(n=n_i, density=d_int, delta_int=d_int, delta_ext=d_ext)
+        )
+    deltas = [b.delta_int - b.delta_ext for b in breakdown]
+    return breakdown, total / m, float(np.mean(deltas))
+
+
+def weighted_density(clustering: Clustering, a: np.ndarray) -> float:
+    """Size-weighted mean of per-cluster densities; singletons count as 1."""
+    return _breakdown(clustering, a)[1]
+
+
+def cohesion(clustering: Clustering, a: np.ndarray) -> float:
+    """Mean over clusters of internal density minus external connectivity."""
+    return _breakdown(clustering, a)[2]
 
 
 def compute_report(
     points: PointSet, clustering: Clustering, a: np.ndarray
 ) -> MetricsReport:
     """All three scores plus the per-cluster breakdown, ranges asserted."""
-    m = clustering.n_points
-    breakdown = []
-    for cluster in clustering.clusters:
-        n_i = len(cluster)
-        internal, external = edge_counts(a, cluster)
-        d_i = 1.0 if n_i == 1 else graph_density(a, cluster)
-        d_int = 1.0 if n_i == 1 else internal / (n_i * (n_i - 1) / 2.0)
-        d_ext = 0.0 if n_i == m else external / (n_i * (m - n_i))
-        breakdown.append(
-            ClusterBreakdown(n=n_i, density=d_i, delta_int=d_int, delta_ext=d_ext)
-        )
+    breakdown, density, cohesion_score = _breakdown(clustering, a)
     return MetricsReport(
         silhouette=silhouette(points, clustering),
-        weighted_density=weighted_density(clustering, a),
-        cohesion=cohesion(clustering, a),
+        weighted_density=density,
+        cohesion=cohesion_score,
         per_cluster=breakdown,
     )

@@ -46,8 +46,7 @@ class ClusterParams:
     percentile of pairwise distances, the photon budget is half the current
     graph size, 50 samples per round, and post-selection at a third of the
     current graph size.  ``d_tilde`` overrides the percentile rule with an
-    explicit distance threshold.  With ``recompute_sizes`` off, n_mean and L
-    stay fixed at their initial-graph values.
+    explicit distance threshold.
     """
 
     d_percentile: float = 0.35
@@ -60,7 +59,6 @@ class ClusterParams:
     t_min: float = 0.50
     min_remaining: int = 3
     max_rounds_per_cluster: int = 50
-    recompute_sizes: bool = True
     mode: str = MODE_PNR
     seed: int | None = None
 
@@ -189,21 +187,12 @@ def gbs_cluster(points: graph_core.PointSet, params: ClusterParams | None = None
     floor, everything else is attached in post-processing.
     """
     params = params or ClusterParams()
-    d = graph_core.compute_distance_matrix(points)
-    if params.d_tilde is not None:
-        d_tilde = params.d_tilde
-    else:
-        d_tilde = graph_core.percentile(
-            graph_core.upper_triangle_values(d), params.d_percentile
-        )
-    a = graph_core.build_adjacency(d, d_tilde) if d_tilde > 0 else np.zeros_like(d)
+    a = graph_core.threshold_graph(points, params.d_percentile, params.d_tilde)
     m_total = len(points)
 
     remaining = list(range(m_total))
     clusters: list[list[int]] = []
     round_index = 0
-    initial_n_mean = max(params.n_mean_factor * m_total, 1e-9)
-    initial_l = max(1, math.ceil(params.l_factor * m_total))
     halving_patience = max(1, params.max_rounds_per_cluster // 3)
     # a 2-point input must still reach the sampler, so the stop size never
     # exceeds the input size (and never drops below a samplable pair)
@@ -213,12 +202,9 @@ def gbs_cluster(points: graph_core.PointSet, params: ClusterParams | None = None
         sub = graph_core.induced_subgraph(a, remaining)
         if sub.sum() == 0:
             break  # leftover graph has no edges, nothing left to sample
-        if params.recompute_sizes:
-            n_mean = max(params.n_mean_factor * len(remaining), 1e-9)
-            l_min = max(1, math.ceil(params.l_factor * len(remaining)))
-        else:
-            n_mean = initial_n_mean
-            l_min = initial_l
+        n_mean = max(params.n_mean_factor * len(remaining), 1e-9)
+        l_min = max(1, math.ceil(params.l_factor * len(remaining)))
+        sampler = gbs_engine.GraphSampler(sub, n_mean, params.mode)
 
         accepted: tuple[int, ...] | None = None
         failed_rounds = 0
@@ -230,6 +216,7 @@ def gbs_cluster(points: graph_core.PointSet, params: ClusterParams | None = None
                 params.n_samples,
                 mode=params.mode,
                 seed=_derive_round_seed(params.seed, round_index),
+                sampler=sampler,
             )
             round_index += 1
             candidate = find_densest_candidate(batch, sub, l_min)
@@ -243,6 +230,7 @@ def gbs_cluster(points: graph_core.PointSet, params: ClusterParams | None = None
             if stalled_rounds >= halving_patience and l_min > 2:
                 l_min = max(2, math.ceil(l_min / 2))
                 stalled_rounds = 0
+        del sampler  # the extraction is over, so is its 2^M weight table
 
         if accepted is None:
             break  # budget exhausted with nothing dense enough; post-process

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gbsclust.gbs_engine import (
     MODE_PNR,
     MODE_THRESHOLD,
     GbsEncoding,
+    GraphSampler,
     calibrate_scaling,
     encode,
     probability_pnr,
@@ -101,6 +103,12 @@ class TestCalibrateScaling:
         with pytest.raises(InvalidInputError):
             calibrate_scaling(np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("n_mean", [float("nan"), float("inf")])
+    def test_nonfinite_target_rejected(self, n_mean):
+        # nan compares false against everything and would bisect c down to 0
+        with pytest.raises(InvalidInputError):
+            calibrate_scaling(np.array([5.0, 1.0]), n_mean)
+
 
 class TestEncoding:
     def test_det_sigma_q_product_form(self):
@@ -173,6 +181,44 @@ class TestSample:
         b1 = sample(a, 2.0, 100, seed=99)
         b2 = sample(a, 2.0, 100, seed=99)
         assert b1.samples == b2.samples
+
+    @pytest.mark.parametrize("mode", [MODE_PNR, MODE_THRESHOLD])
+    def test_sampler_draws_match_sample(self, mode):
+        a = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
+        sampler = GraphSampler(a, 2.0, mode)
+        for seed in (5, 11):
+            expected = sample(a, 2.0, 200, mode=mode, seed=seed)
+            assert sampler.draw(200, seed).samples == expected.samples
+            reused = sample(a, 2.0, 200, mode=mode, seed=seed, sampler=sampler)
+            assert reused.samples == expected.samples
+
+    def test_sampler_of_another_graph_rejected(self):
+        a = graph_from_edges(3, [(0, 1), (1, 2)])
+        sampler = GraphSampler(a, 1.0)
+        with pytest.raises(InvalidInputError):
+            sample(graph_from_edges(3, [(0, 1)]), 1.0, 5, sampler=sampler)
+        with pytest.raises(InvalidInputError):
+            sample(a, 2.0, 5, sampler=sampler)
+        with pytest.raises(InvalidInputError):
+            sample(a, 1.0, 5, mode=MODE_THRESHOLD, sampler=sampler)
+
+    @pytest.mark.parametrize("a", [SINGLE_EDGE, np.zeros((3, 3))])
+    def test_no_samples_rejected_before_enumeration(self, a):
+        with pytest.raises(InvalidInputError):
+            sample(a, 1.0, 0)
+
+    def test_no_weight_table_outlives_the_call(self):
+        sample(SINGLE_EDGE, 1.0, 10, seed=0)  # warm up lazy imports and state
+        complete = np.ones((18, 18)) - np.eye(18)
+        table_bytes = 8 << 18
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sample(complete, 9.0, 10, seed=0)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < table_bytes // 2
 
     def test_zero_row_never_sampled(self):
         # node 3 is isolated

@@ -13,6 +13,7 @@ from gbsclust.graph_core import (
     percentile,
     read_edge_list,
     save_points_csv,
+    threshold_graph,
     upper_triangle_values,
     write_edge_list,
 )
@@ -106,6 +107,20 @@ class TestBuildAdjacency:
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(InvalidInputError):
             build_adjacency(np.zeros((2, 2)), 0.0)
+
+
+class TestThresholdGraph:
+    def test_percentile_and_explicit_threshold(self):
+        points = pts((0, 0), (1, 0), (3, 0), (7, 0))
+        d = compute_distance_matrix(points)
+        d_tilde = percentile(upper_triangle_values(d), 0.5)
+        assert np.array_equal(threshold_graph(points, 0.5), build_adjacency(d, d_tilde))
+        assert np.array_equal(threshold_graph(points, 0.5, 2.5), build_adjacency(d, 2.5))
+
+    def test_nonpositive_threshold_gives_edgeless_graph(self):
+        points = pts((1, 1), (1, 1), (1, 1), (4, 4))
+        assert np.array_equal(threshold_graph(points, 0.35), np.zeros((4, 4)))
+        assert np.array_equal(threshold_graph(points, 0.35, 0.0), np.zeros((4, 4)))
 
 
 class TestGraphDensity:
