@@ -4,8 +4,9 @@ Datasets are seeded point layouts on a small latitude/longitude patch,
 scaled so the DBSCAN preset (eps = 0.005, 2 points) is meaningful.  Each
 dataset is clustered by the GBS driver, k-means with elbow-selected k, and
 DBSCAN with noise reattachment; all three are scored with the same graph
-and distance matrix.  Per-dataset failures are recorded on their row and
-excluded from the aggregates rather than aborting the run.
+and distance matrix.  Per-dataset package errors (``GbsClustError``) are
+recorded on their row and excluded from the aggregates rather than aborting
+the run; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import baselines, graph_core, metrics, qclust
-from .errors import CapacityError, InvalidInputError
-from .gbs_engine import MODE_PNR, PNR_MAX_NODES
+from .errors import CapacityError, GbsClustError, InvalidInputError
+from .gbs_engine import MODE_PNR, max_nodes
 
 __all__ = [
     "BenchConfig",
@@ -73,9 +74,10 @@ class BenchConfig:
             raise InvalidInputError("dataset_count must be at least 1")
         if not 2 <= self.m_min <= self.m_max:
             raise InvalidInputError("need 2 <= m_min <= m_max")
-        if self.m_max > PNR_MAX_NODES:
+        limit = max_nodes(self.gbs_mode)
+        if self.m_max > limit:
             raise CapacityError(
-                f"m_max {self.m_max} exceeds the sampler bound {PNR_MAX_NODES}"
+                f"m_max {self.m_max} exceeds the {self.gbs_mode} sampler bound {limit}"
             )
         if not 1 <= self.blob_min <= self.blob_max:
             raise InvalidInputError("need 1 <= blob_min <= blob_max")
@@ -259,7 +261,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                 row.silhouette = scores.silhouette
                 row.weighted_density = scores.weighted_density
                 row.cohesion = scores.cohesion
-            except Exception as exc:  # fail-soft: keep the run alive
+            except GbsClustError as exc:  # fail-soft: keep the run alive
                 row.error = f"{type(exc).__name__}: {exc}"
             report.rows.append(row)
     return report

@@ -10,10 +10,14 @@ node subsets S of the encoded graph is
 
 where A_S is the induced submatrix and O_S keeps the paired rows/columns of
 S.  At the scales this package targets (M <= 26 nodes) a ``GraphSampler``
-enumerates every subset weight once, normalizes, and draws from the exact
-categorical distribution, which makes every downstream result reproducible
-from a seed.  Nothing is kept between calls: the weight table belongs to
-the sampler that built it.
+enumerates every subset weight once and draws from the exact categorical
+distribution, which makes every downstream result reproducible from a seed.
+It keeps only the subsets of nonzero weight, with their cumulative weights
+in mask order.  In photon-counting mode Haf(A_S) is the product of the
+hafnians of S's parts in the connected components of A, so each component
+is swept on its own lattice and the parts are combined by outer product.
+Nothing is kept between calls: the weight table belongs to the sampler that
+built it.
 
 ``probability_pnr`` evaluates the full photon-number-resolved probability of
 an arbitrary pattern (repetitions allowed) and exists as the oracle that
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import graph_core
 from .errors import (
     CapacityError,
     DegenerateGraphError,
@@ -51,6 +56,7 @@ __all__ = [
     "GbsEncoding",
     "SampleBatch",
     "GraphSampler",
+    "max_nodes",
     "takagi",
     "calibrate_scaling",
     "encode",
@@ -70,6 +76,13 @@ THRESHOLD_MAX_NODES = 20
 
 RECONSTRUCTION_RTOL = 1e-10
 CALIBRATION_ATOL = 1e-9
+
+
+def max_nodes(mode: str) -> int:
+    """Largest graph the exact sampler enumerates in ``mode``."""
+    if mode not in (MODE_PNR, MODE_THRESHOLD):
+        raise InvalidInputError(f"unknown sampling mode {mode!r}")
+    return PNR_MAX_NODES if mode == MODE_PNR else THRESHOLD_MAX_NODES
 
 
 @dataclass
@@ -228,13 +241,56 @@ def _popcounts(n_bits: int) -> np.ndarray:
     return pc
 
 
-def _pnr_weights(a: np.ndarray, c: float) -> np.ndarray:
-    """c^|S| Haf(A_S)^2 for every subset mask."""
-    table = hafnian_all_subsets(a)
-    table *= table
-    pc = _popcounts(a.shape[0])
-    table *= (c ** np.arange(a.shape[0] + 1, dtype=float))[pc]
-    return table
+def _spread(local: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Graph masks of component masks: local bit b becomes bit ``nodes[b]``."""
+    if nodes[-1] == nodes.size - 1:
+        return local  # nodes are 0..k-1, so local and graph masks agree
+    out = np.zeros_like(local)
+    for lo in range(0, nodes.size, 8):
+        lut = np.zeros(1, dtype=np.int64)
+        for node in nodes[lo:lo + 8]:
+            lut = np.concatenate([lut, lut | (1 << int(node))])
+        out |= lut[(local >> lo) & (lut.size - 1)]
+    return out
+
+
+def _pnr_support(a: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of nonzero c^|S| Haf(A_S)^2, ascending, and those weights.
+
+    Each connected component of two or more nodes gets one hafnian sweep;
+    isolated nodes only admit the empty part.  A subset's hafnian is the
+    product of its parts' hafnians, so the nonzero entries of the
+    components are combined by outer product (mask OR, hafnian product)
+    and sorted into mask order.  On a 0/1 adjacency every hafnian is an
+    integer below 2^53, so the products are exact and the weights equal
+    those of one sweep over the whole graph bit for bit.
+    """
+    masks = np.zeros(1, dtype=np.int64)
+    weights = np.ones(1)
+    sizes = np.zeros(1, dtype=np.uint8)
+    parts = [nodes for nodes in graph_core.connected_components(a) if nodes.size > 1]
+    for nodes in parts:
+        table = hafnian_all_subsets(a[np.ix_(nodes, nodes)])
+        local = np.flatnonzero(table)
+        hafs = table[local]
+        del table  # free the 2^k lattice before the combined arrays grow
+        masks = (masks[:, None] | _spread(local, nodes)[None, :]).ravel()
+        weights = np.multiply.outer(weights, hafs).ravel()
+        sizes = np.add.outer(sizes, _popcounts(nodes.size)[local]).ravel()
+    if len(parts) > 1:
+        # masks < 2^26 and fewer than 2^32 entries: sort (mask, position) keys
+        masks <<= 32
+        masks |= np.arange(masks.size)
+        masks.sort()
+        order = masks & 0xFFFFFFFF
+        masks >>= 32
+        weights, sizes = weights[order], sizes[order]
+    weights *= weights
+    weights *= (c ** np.arange(a.shape[0] + 1, dtype=float))[sizes]
+    keep = weights > 0.0
+    if not keep.all():  # c^|S| underflowed
+        masks, weights = masks[keep], weights[keep]
+    return masks, weights
 
 
 def _threshold_weights(a: np.ndarray, c: float) -> np.ndarray:
@@ -279,19 +335,21 @@ class GraphSampler:
 
     The constructor checks the mode and the enumeration bound (raising
     CapacityError beyond it).  The first ``draw``, or the first read of
-    ``cum``, encodes ``a`` for ``n_mean`` photons and enumerates the
-    cumulative weight of every node subset, raising DegenerateGraphError
-    when no subset carries mass (edgeless graph); later draws cost
-    O(n_samples).  The 2^M table lives exactly as long as the sampler, so
-    its owner decides how long the memory stays in use.
+    ``support``, encodes ``a`` for ``n_mean`` photons (c is calibrated on
+    the whole graph) and enumerates the weight of every node subset,
+    raising DegenerateGraphError when no subset carries mass (edgeless
+    graph); later draws cost O(n_samples log support).  Photon-counting
+    weights come from one hafnian sweep per connected component.  Only the
+    subsets of nonzero weight are stored, as ``(masks, cum)``; zero weights
+    never move a cumulative sum, so a draw picks the same subset as it
+    would from the full 2^M table.  The table lives exactly as long as the
+    sampler, so its owner decides how long the memory stays in use.
     """
 
     def __init__(self, a: np.ndarray, n_mean: float, mode: str = MODE_PNR):
         self.a = _check_symmetric(a)
         self.m = self.a.shape[0]
-        if mode not in (MODE_PNR, MODE_THRESHOLD):
-            raise InvalidInputError(f"unknown sampling mode {mode!r}")
-        limit = PNR_MAX_NODES if mode == MODE_PNR else THRESHOLD_MAX_NODES
+        limit = max_nodes(mode)
         if self.m > limit:
             raise CapacityError(
                 f"{self.m} nodes exceeds the {mode} enumeration bound {limit}"
@@ -300,25 +358,27 @@ class GraphSampler:
         self.mode = mode
 
     @functools.cached_property
-    def cum(self) -> np.ndarray:
-        """Cumulative weight of every subset mask, in mask order."""
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """(masks, cum): the subsets of nonzero weight in mask order, and
+        their cumulative weights."""
         if float(np.abs(self.a).sum()) == 0.0:
             # only the empty subset would carry mass, and calibration has no root
             raise DegenerateGraphError("graph has no edges, nothing to sample")
         c = encode(self.a, self.n_mean, self.mode).c
-        weights = (
-            _pnr_weights(self.a, c) if self.mode == MODE_PNR
-            else _threshold_weights(self.a, c)
-        )
-        np.cumsum(weights, out=weights)
-        if weights[-1] <= 0.0:
+        if self.mode == MODE_PNR:
+            masks, weights = _pnr_support(self.a, c)
+        else:
+            weights = _threshold_weights(self.a, c)
+            masks = np.flatnonzero(weights)
+            weights = weights[masks]
+        if not masks.size:
             raise DegenerateGraphError("zero total sampling weight")
-        return weights
+        return masks, np.cumsum(weights, out=weights)
 
     @property
     def total(self) -> float:
         """Unnormalized mass of the whole subset lattice."""
-        return float(self.cum[-1])
+        return float(self.support[1][-1])
 
     def draw(self, n_samples: int, seed: int | None = None) -> SampleBatch:
         """Draw ``n_samples`` node subsets, reproducibly for an integer seed."""
@@ -326,9 +386,10 @@ class GraphSampler:
             raise InvalidInputError("need at least one sample")
         rng = np.random.default_rng(seed)
         u = rng.random(n_samples) * self.total
-        masks = np.searchsorted(self.cum, u, side="right")
+        masks, cum = self.support
+        picked = masks[np.searchsorted(cum, u, side="right")]
         samples = [
-            tuple(i for i in range(self.m) if (int(mask) >> i) & 1) for mask in masks
+            tuple(i for i in range(self.m) if (int(mask) >> i) & 1) for mask in picked
         ]
         return SampleBatch(samples=samples, n=n_samples, seed=seed, mode=self.mode)
 
@@ -365,12 +426,13 @@ def subset_distribution(a: np.ndarray, n_mean: float, mode: str = MODE_PNR) -> d
     Exposed for tests and diagnostics; zero-probability subsets are omitted.
     """
     sampler = GraphSampler(a, n_mean, mode)
-    weights = np.diff(sampler.cum, prepend=0.0)
-    total = sampler.total
+    masks, cum = sampler.support
+    weights = np.diff(cum, prepend=0.0)
     out: dict[tuple[int, ...], float] = {}
-    for mask in np.nonzero(weights > 0.0)[0]:
-        subset = tuple(i for i in range(sampler.m) if (int(mask) >> i) & 1)
-        out[subset] = float(weights[mask] / total)
+    for mask, weight in zip(masks, weights):
+        if weight > 0.0:
+            subset = tuple(i for i in range(sampler.m) if (int(mask) >> i) & 1)
+            out[subset] = float(weight / cum[-1])
     return out
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "graph_density",
     "induced_subgraph",
     "edge_counts",
+    "connected_components",
     "load_points_csv",
     "save_points_csv",
     "write_edge_list",
@@ -48,6 +49,8 @@ class PointSet:
         self.coords = np.asarray(self.coords, dtype=float)
         if self.coords.ndim != 2 or self.coords.shape[1] != 2:
             raise InvalidInputError("coords must have shape (M, 2)")
+        if not np.isfinite(self.coords).all():
+            raise InvalidInputError("coordinates must be finite, got NaN or inf")
         if len(self.ids) != self.coords.shape[0]:
             raise InvalidInputError("ids and coords length mismatch")
         if len(set(self.ids)) != len(self.ids):
@@ -185,12 +188,39 @@ def edge_counts(a: np.ndarray, subset) -> tuple[int, int]:
     return int(round(internal)), int(round(external))
 
 
+def connected_components(a: np.ndarray) -> list[np.ndarray]:
+    """Node index arrays of the connected components of ``a``.
+
+    Each array is ascending and the components are ordered by their lowest
+    node; an isolated node is a component of its own.
+    """
+    adj = np.asarray(a) != 0
+    unseen = np.ones(adj.shape[0], dtype=bool)
+    components = []
+    for start in range(adj.shape[0]):
+        if not unseen[start]:
+            continue
+        reached = np.zeros_like(unseen)
+        reached[start] = True
+        frontier = reached.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        unseen &= ~reached
+        components.append(np.flatnonzero(reached))
+    return components
+
+
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
 
 def load_points_csv(path) -> PointSet:
-    """Read a point set from CSV with header ``id,lat,lon``."""
+    """Read a point set from CSV with header ``id,lat,lon``.
+
+    A malformed row or an unparsable coordinate raises InvalidInputError
+    naming the path and the 1-based line.
+    """
     ids: list[str] = []
     coords: list[tuple[float, float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -201,10 +231,16 @@ def load_points_csv(path) -> PointSet:
         for row in reader:
             if not row:
                 continue
+            where = f"{path}, line {reader.line_num}"
             if len(row) != 3:
-                raise InvalidInputError(f"malformed row {row!r} in {path}")
+                raise InvalidInputError(f"malformed row {row!r} in {where}")
+            try:
+                coords.append((float(row[1]), float(row[2])))
+            except ValueError:
+                raise InvalidInputError(
+                    f"unparsable coordinate in {where}: {row!r}"
+                ) from None
             ids.append(row[0])
-            coords.append((float(row[1]), float(row[2])))
     return PointSet(ids=ids, coords=np.array(coords, dtype=float))
 
 

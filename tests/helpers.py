@@ -155,3 +155,25 @@ def graph_from_edges(n: int, edges) -> np.ndarray:
     for u, v in edges:
         a[u, v] = a[v, u] = 1.0
     return a
+
+
+def hafnian_table_loops(b: np.ndarray) -> np.ndarray:
+    """Subset hafnian table by scalar loops, one mask at a time.
+
+    Follows the subset dynamic program's update order (row i descending,
+    column j ascending), so on any matrix its floats match a vectorized
+    sweep in that order bit for bit.
+    """
+    n = b.shape[0]
+    table = [0.0] * (1 << n)
+    table[0] = 1.0
+    for i in reversed(range(n)):
+        below = (1 << (i + 1)) - 1
+        for j in range(i + 1, n):
+            bij = float(b[i, j])
+            if bij == 0.0:
+                continue
+            for source in range(1 << n):
+                if source & below == 0 and not (source >> j) & 1:
+                    table[source | (1 << i) | (1 << j)] += bij * table[source]
+    return np.array(table)

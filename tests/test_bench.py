@@ -13,6 +13,7 @@ from gbsclust.bench import (
     generate_dataset,
     run_benchmark,
 )
+from gbsclust import qclust
 from gbsclust.cli import main as cli_main
 from gbsclust.errors import CapacityError, InvalidInputError
 from gbsclust.graph_core import load_points_csv
@@ -68,6 +69,14 @@ class TestConfig:
         with pytest.raises(CapacityError):
             BenchConfig(m_max=27)
 
+    def test_capacity_bound_follows_mode(self):
+        BenchConfig(m_max=26)
+        BenchConfig(gbs_mode="threshold", m_max=20)
+        with pytest.raises(CapacityError, match="threshold"):
+            BenchConfig(gbs_mode="threshold", m_max=24)
+        with pytest.raises(InvalidInputError):
+            BenchConfig(gbs_mode="photon")
+
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "bench.json"
         path.write_text(json.dumps({"dataset_count": 3, "m_min": 8, "m_max": 10}))
@@ -107,6 +116,23 @@ class TestRunBenchmark:
             assert -1.0 <= row.silhouette <= 1.0
             assert 0.0 <= row.weighted_density <= 1.0
             assert -1.0 <= row.cohesion <= 1.0
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(points, params):
+            return 1 / 0
+
+        monkeypatch.setattr(qclust, "gbs_cluster", broken)
+        with pytest.raises(ZeroDivisionError):
+            run_benchmark(BenchConfig(dataset_count=1, m_min=10, m_max=10))
+
+    def test_package_errors_recorded_on_their_row(self, monkeypatch):
+        def too_big(points, params):
+            raise CapacityError("too big")
+
+        monkeypatch.setattr(qclust, "gbs_cluster", too_big)
+        report = run_benchmark(BenchConfig(dataset_count=1, m_min=10, m_max=10))
+        errors = {row.method: row.error for row in report.rows}
+        assert errors == {"gbs": "CapacityError: too big", "kmeans": "", "dbscan": ""}
 
     def test_deterministic_reports(self, tmp_path):
         r1 = run_benchmark(SMALL)

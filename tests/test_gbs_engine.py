@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from gbsclust.errors import (
     CapacityError,
@@ -23,6 +25,7 @@ from gbsclust.gbs_engine import (
     subset_weight,
     takagi,
 )
+from gbsclust.matchers import hafnian_all_subsets
 
 from helpers import (
     graph_from_edges,
@@ -343,3 +346,74 @@ class TestThresholdMode:
         a = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
         batch = sample(a, 1.5, 2000, mode=MODE_THRESHOLD, seed=3)
         assert any(len(s) % 2 == 1 for s in batch.samples)
+
+
+@st.composite
+def split_graphs(draw):
+    """0/1 graphs of up to 14 nodes whose nodes fall into up to 4 labelled
+    groups with no edge between groups: several components, interleaved
+    node labels, isolated nodes."""
+    n = draw(st.integers(2, 14))
+    groups = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    density = draw(st.floats(0.2, 0.9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    upper = np.random.default_rng(seed).random((n, n)) < density
+    same = np.equal.outer(groups, groups)
+    a = np.triu(upper & same, 1).astype(float)
+    return a + a.T
+
+
+def dense_support(a, n_mean):
+    """(masks, cum) of the nonzero weights of one sweep over the whole graph."""
+    n = a.shape[0]
+    weights = hafnian_all_subsets(a)
+    weights *= weights
+    sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])
+    weights *= (encode(a, n_mean).c ** np.arange(n + 1, dtype=float))[sizes]
+    masks = np.flatnonzero(weights)
+    return masks, np.cumsum(weights)[masks], weights
+
+
+class TestSupport:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(a=split_graphs(), n_mean=st.floats(0.1, 6.0))
+    def test_per_component_support_equals_dense_route(self, a, n_mean):
+        assume(a.sum() > 0)
+        sampler = GraphSampler(a, n_mean)
+        masks, cum = sampler.support
+        dense_masks, dense_cum, weights = dense_support(a, n_mean)
+        assert np.array_equal(masks, dense_masks)
+        assert np.array_equal(cum, dense_cum)
+        # no zero-weight subset is stored, and none of nonzero weight is lost
+        assert np.all(weights[masks] > 0.0)
+        assert np.count_nonzero(weights) == masks.size
+        full_cum = np.cumsum(weights)
+        for seed in (0, 1, 2, 3):
+            u = np.random.default_rng(seed).random(64) * full_cum[-1]
+            picked = np.searchsorted(full_cum, u, side="right")
+            expected = [tuple(i for i in range(a.shape[0]) if (m >> i) & 1) for m in picked]
+            assert sampler.draw(64, seed).samples == expected
+
+    def test_threshold_support_skips_zero_weights_only(self):
+        # a click pattern carries weight exactly when no clicked node is
+        # isolated in the induced subgraph; node 4 is isolated outright
+        a = graph_from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 0)])
+        masks, cum = GraphSampler(a, 1.5, MODE_THRESHOLD).support
+        expected = [
+            mask for mask in range(1 << 5)
+            if all(
+                any((mask >> j) & 1 and a[i, j] for j in range(5))
+                for i in range(5) if (mask >> i) & 1
+            )
+        ]
+        assert masks.tolist() == expected
+        assert np.all(np.diff(cum) > 0.0)
+
+    def test_weighted_components_factorize(self):
+        a = np.zeros((6, 6))
+        for (u, v), w in {(0, 3): 0.7, (3, 5): 1.3, (0, 5): 0.4, (1, 4): 2.1}.items():
+            a[u, v] = a[v, u] = w
+        masks, cum = GraphSampler(a, 2.0).support
+        dense_masks, dense_cum, _ = dense_support(a, 2.0)
+        assert np.array_equal(masks, dense_masks)
+        assert np.allclose(cum, dense_cum, rtol=1e-13, atol=0.0)

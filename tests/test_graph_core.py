@@ -6,6 +6,7 @@ from gbsclust.graph_core import (
     PointSet,
     build_adjacency,
     compute_distance_matrix,
+    connected_components,
     edge_counts,
     graph_density,
     induced_subgraph,
@@ -43,6 +44,11 @@ class TestDistanceMatrix:
     def test_single_point_rejected(self):
         with pytest.raises(InvalidInputError):
             PointSet(ids=["a"], coords=np.array([[0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_coordinates_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            pts((0.0, 0.0), (bad, 1.0), (1.0, 1.0))
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -203,6 +209,19 @@ class TestEdgeCounts:
             assert internal + external + comp_internal == int(a.sum() / 2)
 
 
+class TestConnectedComponents:
+    def test_interleaved_components_and_isolated_node(self):
+        a = graph_from_edges(6, [(0, 2), (2, 4), (1, 5)])
+        parts = connected_components(a)
+        assert [p.tolist() for p in parts] == [[0, 2, 4], [1, 5], [3]]
+
+    def test_connected_and_edgeless(self):
+        path = graph_from_edges(4, [(0, 3), (3, 1), (1, 2)])
+        assert [p.tolist() for p in connected_components(path)] == [[0, 1, 2, 3]]
+        parts = connected_components(np.zeros((3, 3)))
+        assert [p.tolist() for p in parts] == [[0], [1], [2]]
+
+
 class TestFileFormats:
     def test_points_csv_roundtrip(self, tmp_path):
         original = pts((45.0, 7.001), (45.002, 7.003), (44.998, 7.0))
@@ -216,6 +235,13 @@ class TestFileFormats:
         path = tmp_path / "bad.csv"
         path.write_text("x,y,z\n1,2,3\n")
         with pytest.raises(InvalidInputError):
+            load_points_csv(path)
+
+    @pytest.mark.parametrize("row", ["p1,abc,7.0", "p1,45.0,"])
+    def test_unparsable_coordinate_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "points.csv"
+        path.write_text(f"id,lat,lon\np0,45.0,7.0\n{row}\n")
+        with pytest.raises(InvalidInputError, match=r"points\.csv, line 3"):
             load_points_csv(path)
 
     def test_edge_list_roundtrip(self, tmp_path):

@@ -15,6 +15,7 @@ from helpers import (
     count_matchings_bruteforce,
     graph_from_edges,
     hafnian_bruteforce,
+    hafnian_table_loops,
 )
 
 
@@ -103,6 +104,21 @@ class TestSubsetTable:
                 bits = [i for i in range(n) if (int(mask) >> i) & 1]
                 sub = b[np.ix_(bits, bits)]
                 assert table[mask] == pytest.approx(hafnian(sub), abs=1e-9)
+
+    def test_strided_sweep_is_exact_on_connected_graph(self):
+        # a 12-cycle with chords is connected; its hafnians are integers
+        n = 12
+        edges = [(i, (i + 1) % n) for i in range(n)] + [(0, 6), (2, 9), (3, 7), (5, 11)]
+        a = graph_from_edges(n, edges)
+        table = hafnian_all_subsets(a)
+        assert np.array_equal(table, hafnian_table_loops(a))
+        assert np.array_equal(table, np.round(table))
+        assert table[-1] == hafnian_bruteforce(a)
+
+    def test_strided_sweep_matches_scalar_order_on_real_matrix(self):
+        rng = np.random.default_rng(47)
+        b = random_symmetric(rng, 10, binary=False)
+        assert np.array_equal(hafnian_all_subsets(b), hafnian_table_loops(b))
 
 
 class TestCountPerfectMatchings:
