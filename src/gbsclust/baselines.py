@@ -39,14 +39,17 @@ class KMeansResult:
     labels: np.ndarray = field(repr=False)
     inertia: float
 
+    @property
+    def k(self) -> int:
+        return self.centroids.shape[0]
+
     def to_clustering(self) -> Clustering:
-        k = self.centroids.shape[0]
-        clusters = [np.nonzero(self.labels == c)[0].tolist() for c in range(k)]
+        clusters = [np.nonzero(self.labels == c)[0].tolist() for c in range(self.k)]
         return Clustering(
             clusters=[c for c in clusters if c],
             n_points=self.labels.size,
             method="kmeans",
-            params={"k": int(k)},
+            params={"k": self.k},
         )
 
 
@@ -143,25 +146,28 @@ def kmeans(points: PointSet, k: int, seed: int | None = None) -> KMeansResult:
     return best
 
 
-def elbow_select_k(points: PointSet, k_max: int, seed: int | None = None) -> int:
-    """Pick k by the largest second difference of the inertia curve.
+def elbow_select_k(
+    points: PointSet, k_max: int, seed: int | None = None
+) -> KMeansResult:
+    """The k-means fit whose k is picked by the inertia curve's elbow.
 
-    Evaluates inertia for k = 1..k_max and returns the interior k where the
-    improvement flattens the most; ties go to the smaller k.
+    Fits k = 1..k_max and returns the fit at the interior k where the
+    improvement flattens the most, i.e. the largest second difference of
+    the inertia; ties go to the smaller k.
     """
     m = len(points)
     if k_max < 3:
         raise InvalidInputError("elbow selection needs k_max >= 3")
     if k_max > m:
         raise InvalidInputError(f"k_max must not exceed the point count {m}")
-    inertia = {k: kmeans(points, k, seed=seed).inertia for k in range(1, k_max + 1)}
+    fits = {k: kmeans(points, k, seed=seed) for k in range(1, k_max + 1)}
     best_k, best_curve = None, -np.inf
     for k in range(2, k_max):
-        curve = inertia[k - 1] - 2.0 * inertia[k] + inertia[k + 1]
+        curve = fits[k - 1].inertia - 2.0 * fits[k].inertia + fits[k + 1].inertia
         if curve > best_curve + 1e-12:
             best_k, best_curve = k, curve
     assert best_k is not None
-    return best_k
+    return fits[best_k]
 
 
 def dbscan(points: PointSet, eps: float, min_pts: int) -> DbscanResult:

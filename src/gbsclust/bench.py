@@ -218,16 +218,12 @@ def _run_one(
 ) -> qclust.Clustering:
     if method == "gbs":
         params = qclust.ClusterParams(
-            d_percentile=config.d_percentile,
-            n_samples=config.gbs_samples,
-            mode=config.gbs_mode,
-            seed=seed,
+            n_samples=config.gbs_samples, mode=config.gbs_mode, seed=seed
         )
-        return qclust.gbs_cluster(points, params)
+        return qclust.gbs_cluster(a, params)
     if method == "kmeans":
         k_max = min(config.kmeans_k_max, len(points))
-        k = baselines.elbow_select_k(points, k_max, seed=seed)
-        return baselines.kmeans(points, k, seed=seed).to_clustering()
+        return baselines.elbow_select_k(points, k_max, seed=seed).to_clustering()
     if method == "dbscan":
         return baselines.dbscan_with_postprocess(
             points, config.dbscan_eps, config.dbscan_min_pts, a

@@ -35,13 +35,9 @@ def main():
 def cluster(input_path, d_percentile, samples, mode, seed, out_path):
     """Cluster a points CSV with the GBS driver."""
     points = graph_core.load_points_csv(input_path)
-    params = qclust.ClusterParams(
-        d_percentile=d_percentile,
-        n_samples=samples,
-        mode=_MODES[mode],
-        seed=seed,
-    )
-    _write_clustering(qclust.gbs_cluster(points, params), points, out_path)
+    a = graph_core.threshold_graph(points, d_percentile)
+    params = qclust.ClusterParams(n_samples=samples, mode=_MODES[mode], seed=seed)
+    _write_clustering(qclust.gbs_cluster(a, params), points, out_path)
 
 
 @main.command()
@@ -54,10 +50,9 @@ def kmeans(input_path, k, k_max, seed, out_path):
     """Cluster a points CSV with k-means."""
     points = graph_core.load_points_csv(input_path)
     if k == "auto":
-        k_value = baselines.elbow_select_k(points, min(k_max, len(points)), seed=seed)
+        result = baselines.elbow_select_k(points, min(k_max, len(points)), seed=seed)
     else:
-        k_value = int(k)
-    result = baselines.kmeans(points, k_value, seed=seed)
+        result = baselines.kmeans(points, int(k), seed=seed)
     _write_clustering(result.to_clustering(), points, out_path)
 
 

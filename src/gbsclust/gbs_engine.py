@@ -114,10 +114,9 @@ class GbsEncoding:
     def __post_init__(self):
         if self.mode not in (MODE_PNR, MODE_THRESHOLD):
             raise InvalidInputError(f"unknown sampling mode {self.mode!r}")
-        x = (self.c * self.takagi.lam) ** 2
-        if np.any(x >= 1.0):
+        if np.any((self.c * self.takagi.lam) ** 2 >= 1.0):
             raise InvalidInputError("rescaling violates c * lambda_max < 1")
-        implied = float(np.sum(x / (1.0 - x)))
+        implied = _mean_photons(self.c, self.takagi.lam)
         if abs(implied - self.n_mean) > CALIBRATION_ATOL:
             raise InvalidInputError(
                 f"c implies mean photons {implied!r}, expected {self.n_mean!r}"
@@ -168,12 +167,21 @@ def takagi(a: np.ndarray) -> TakagiFactors:
     return factors
 
 
+def _mean_photons(c: float, lam: np.ndarray) -> float:
+    """Mean photon number sum_i (c lam_i)^2 / (1 - (c lam_i)^2)."""
+    x = (c * lam) ** 2
+    return float(np.sum(x / (1.0 - x)))
+
+
 def calibrate_scaling(lam: np.ndarray, n_mean: float) -> float:
     """Rescaling c in (0, 1/lam_max) hitting a target mean photon number.
 
     Solves sum_i (c lam_i)^2 / (1 - (c lam_i)^2) = n_mean by bisection; the
     left side is strictly increasing in c and diverges at 1/lam_max, so the
-    root exists and is unique for any finite positive target.
+    root exists and is unique for any finite positive target.  The bisection
+    stops once the midpoint rounds to an end of the bracket, i.e. lo and hi
+    are adjacent floats (about 53 steps), and returns that midpoint; 200
+    steps bound it for roots so close to 0 that the floats there are finer.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.size == 0 or float(lam.max()) <= 0.0:
@@ -182,21 +190,15 @@ def calibrate_scaling(lam: np.ndarray, n_mean: float) -> float:
         raise InvalidInputError(
             f"mean photon target must be finite and positive, got {n_mean}"
         )
-    lam_max = float(lam.max())
-
-    def mean_photons(c: float) -> float:
-        x = (c * lam) ** 2
-        return float(np.sum(x / (1.0 - x)))
-
-    lo, hi = 0.0, (1.0 - 1e-14) / lam_max
+    lo, hi = 0.0, (1.0 - 1e-14) / float(lam.max())
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mean_photons(mid) < n_mean:
+        if mid == lo or mid == hi:
+            break
+        if _mean_photons(mid, lam) < n_mean:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
     return 0.5 * (lo + hi)
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "connected_components",
     "load_points_csv",
     "save_points_csv",
-    "write_edge_list",
     "read_edge_list",
 ]
 
@@ -116,9 +115,14 @@ def threshold_graph(
     """Threshold graph of a point set.
 
     The distance threshold is ``d_tilde`` when given, else the
-    ``d_percentile`` percentile of pairwise distances.  A threshold at or
-    below 0, as when many points coincide, gives the edgeless graph.
+    ``d_percentile`` percentile of pairwise distances; ``d_percentile``
+    must lie strictly in (0, 1) either way.  A threshold at or below 0, as
+    when many points coincide, gives the edgeless graph.
     """
+    if not 0.0 < d_percentile < 1.0:
+        raise InvalidInputError(
+            f"d_percentile must lie strictly in (0, 1), got {d_percentile}"
+        )
     d = compute_distance_matrix(points)
     if d_tilde is None:
         d_tilde = percentile(upper_triangle_values(d), d_percentile)
@@ -250,17 +254,6 @@ def save_points_csv(points: PointSet, path) -> None:
         writer.writerow(["id", "lat", "lon"])
         for pid, (x, y) in zip(points.ids, points.coords):
             writer.writerow([pid, f"{x:.17g}", f"{y:.17g}"])
-
-
-def write_edge_list(a: np.ndarray, path) -> None:
-    """Debug export: one ``u v`` line per edge, 0-based indices."""
-    a = check_adjacency(a)
-    with open(path, "w", encoding="utf-8") as fh:
-        n = a.shape[0]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if a[i, j]:
-                    fh.write(f"{i} {j}\n")
 
 
 def read_edge_list(path, n_nodes: int | None = None) -> np.ndarray:

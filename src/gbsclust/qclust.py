@@ -1,13 +1,14 @@
 """Iterative densest-subgraph clustering driven by GBS samples.
 
-The driver builds a threshold graph over the input points and repeatedly
-samples node subsets from the GBS distribution of the remaining graph.  Each
-round keeps only subsets of at least L nodes, takes the densest one (ties go
-to the larger subset), and accepts it as a cluster when its density clears a
-threshold that decays geometrically over failed rounds.  Accepted clusters
-leave the graph; when the leftover graph is too small or too sparse, the
-remaining nodes are attached to clusters by a connectivity-ratio rule, with
-fully disconnected nodes becoming singletons.
+The driver takes the caller's graph (a symmetric 0/1 adjacency matrix with a
+zero diagonal, typically ``graph_core.threshold_graph`` of a point set) and
+repeatedly samples node subsets from the GBS distribution of the remaining
+graph.  Each round keeps only subsets of at least L nodes, takes the densest
+one (ties go to the larger subset), and accepts it as a cluster when its
+density clears a threshold that decays geometrically over failed rounds.
+Accepted clusters leave the graph; when the leftover graph is too small or
+too sparse, the remaining nodes are attached to clusters by a
+connectivity-ratio rule, with fully disconnected nodes becoming singletons.
 
 Two stall guards keep the loop finite on awkward graphs.  If a third of the
 per-cluster round budget passes with no acceptance, the post-selection size
@@ -15,6 +16,16 @@ L is halved (floor 2): in photon-counting mode only even-size subsets ever
 appear, so an odd minimum can silently exclude every dense candidate.  If a
 full budget of rounds passes without any acceptance, extraction stops and
 whatever is left goes straight to post-processing.
+
+The loop's fixed settings, for R remaining nodes:
+
+- ``N_MEAN_FACTOR`` (0.5): the photon budget is 0.5 * R;
+- ``L_FACTOR`` (1/3): post-selection keeps subsets of at least ceil(R / 3)
+  nodes;
+- ``T0``, ``GAMMA``, ``T_MIN`` (0.90, 0.95, 0.50): after i failed rounds the
+  acceptance threshold is max(T_MIN, T0 * GAMMA**i);
+- ``MIN_REMAINING`` (3): extraction stops below this many nodes;
+- ``MAX_ROUNDS_PER_CLUSTER`` (50): the round budget of one extraction.
 """
 
 from __future__ import annotations
@@ -38,37 +49,24 @@ __all__ = [
 ]
 
 
+N_MEAN_FACTOR = 0.5
+L_FACTOR = 1.0 / 3.0
+T0 = 0.90
+GAMMA = 0.95
+T_MIN = 0.50
+MIN_REMAINING = 3
+MAX_ROUNDS_PER_CLUSTER = 50
+
+
 @dataclass
 class ClusterParams:
-    """Knobs of the GBS clustering loop.
+    """Settings of one GBS clustering run: 50 samples per round by default."""
 
-    Defaults follow the benchmark settings: the graph threshold is the 35th
-    percentile of pairwise distances, the photon budget is half the current
-    graph size, 50 samples per round, and post-selection at a third of the
-    current graph size.  ``d_tilde`` overrides the percentile rule with an
-    explicit distance threshold.
-    """
-
-    d_percentile: float = 0.35
-    d_tilde: float | None = None
-    n_mean_factor: float = 0.5
     n_samples: int = 50
-    l_factor: float = 1.0 / 3.0
-    t0: float = 0.90
-    gamma: float = 0.95
-    t_min: float = 0.50
-    min_remaining: int = 3
-    max_rounds_per_cluster: int = 50
     mode: str = MODE_PNR
     seed: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.d_percentile < 1.0:
-            raise InvalidInputError("d_percentile must lie strictly in (0, 1)")
-        if not 0.0 < self.gamma < 1.0:
-            raise InvalidInputError("gamma must lie strictly in (0, 1)")
-        if not self.t_min <= self.t0 <= 1.0:
-            raise InvalidInputError("need t_min <= t0 <= 1")
         if self.n_samples < 1:
             raise InvalidInputError("n_samples must be at least 1")
         if self.mode not in (MODE_PNR, MODE_THRESHOLD):
@@ -112,11 +110,11 @@ class Clustering:
         return {"method": self.method, "params": self.params, "clusters": clusters}
 
 
-def compute_threshold(i: int, params: ClusterParams) -> float:
+def compute_threshold(i: int) -> float:
     """Density acceptance threshold after ``i`` failed rounds."""
     if i < 0:
         raise InvalidInputError("round index must be nonnegative")
-    return max(params.t_min, params.t0 * params.gamma ** i)
+    return max(T_MIN, T0 * GAMMA ** i)
 
 
 def find_densest_candidate(
@@ -179,37 +177,39 @@ def _derive_round_seed(seed: int | None, round_index: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def gbs_cluster(points: graph_core.PointSet, params: ClusterParams | None = None) -> Clustering:
-    """Cluster a point set with the GBS densest-subgraph loop.
+def gbs_cluster(a: np.ndarray, params: ClusterParams | None = None) -> Clustering:
+    """Cluster the nodes of graph ``a`` with the GBS densest-subgraph loop.
 
-    Deterministic given (points, params, seed).  The returned clustering is
-    always a full partition; accepted clusters have density above the decay
-    floor, everything else is attached in post-processing.
+    ``a`` must be a symmetric 0/1 matrix with a zero diagonal; anything else
+    raises InvalidInputError.  Deterministic given (a, params).  The returned
+    clustering is always a full partition of the nodes; accepted clusters
+    have density above the decay floor, everything else is attached in
+    post-processing.
     """
     params = params or ClusterParams()
-    a = graph_core.threshold_graph(points, params.d_percentile, params.d_tilde)
-    m_total = len(points)
+    a = graph_core.check_adjacency(a)
+    m_total = a.shape[0]
 
     remaining = list(range(m_total))
     clusters: list[list[int]] = []
     round_index = 0
-    halving_patience = max(1, params.max_rounds_per_cluster // 3)
+    halving_patience = max(1, MAX_ROUNDS_PER_CLUSTER // 3)
     # a 2-point input must still reach the sampler, so the stop size never
     # exceeds the input size (and never drops below a samplable pair)
-    stop_size = max(2, min(params.min_remaining, m_total))
+    stop_size = max(2, min(MIN_REMAINING, m_total))
 
     while len(remaining) >= stop_size:
         sub = graph_core.induced_subgraph(a, remaining)
         if sub.sum() == 0:
             break  # leftover graph has no edges, nothing left to sample
-        n_mean = max(params.n_mean_factor * len(remaining), 1e-9)
-        l_min = max(1, math.ceil(params.l_factor * len(remaining)))
+        n_mean = max(N_MEAN_FACTOR * len(remaining), 1e-9)
+        l_min = max(1, math.ceil(L_FACTOR * len(remaining)))
         sampler = gbs_engine.GraphSampler(sub, n_mean, params.mode)
 
         accepted: tuple[int, ...] | None = None
         failed_rounds = 0
         stalled_rounds = 0
-        for _ in range(params.max_rounds_per_cluster):
+        for _ in range(MAX_ROUNDS_PER_CLUSTER):
             batch = gbs_engine.sample(
                 sub,
                 n_mean,
@@ -221,7 +221,7 @@ def gbs_cluster(points: graph_core.PointSet, params: ClusterParams | None = None
             round_index += 1
             candidate = find_densest_candidate(batch, sub, l_min)
             if candidate is not None:
-                t = compute_threshold(failed_rounds, params)
+                t = compute_threshold(failed_rounds)
                 if graph_core.graph_density(sub, candidate) > t:
                     accepted = candidate
                     break

@@ -177,3 +177,22 @@ def hafnian_table_loops(b: np.ndarray) -> np.ndarray:
                 if source & below == 0 and not (source >> j) & 1:
                     table[source | (1 << i) | (1 << j)] += bij * table[source]
     return np.array(table)
+
+
+def calibrate_scaling_200_steps(lam: np.ndarray, n_mean: float) -> float:
+    """Photon-budget rescaling c by a fixed 200-step bisection.
+
+    Solves sum_i (c lam_i)^2 / (1 - (c lam_i)^2) = n_mean on
+    [0, (1 - 1e-14) / lam_max] and never stops early, so it is the
+    reference an early-stopping bisection must reproduce exactly.
+    """
+    lam = np.asarray(lam, dtype=float)
+    lo, hi = 0.0, (1.0 - 1e-14) / float(lam.max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        x = (mid * lam) ** 2
+        if float(np.sum(x / (1.0 - x))) < n_mean:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

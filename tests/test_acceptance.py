@@ -193,7 +193,9 @@ def test_criterion_07_clustering_ground_truth():
     truth = np.repeat([0, 1, 2], 5)
     all_exact = True
     for seed in range(10):
-        result = qclust.gbs_cluster(points, qclust.ClusterParams(d_tilde=1.0, seed=seed))
+        result = qclust.gbs_cluster(
+            graph_core.threshold_graph(points, 0.35, 1.0), qclust.ClusterParams(seed=seed)
+        )
         ari = adjusted_rand_index(result.labels, truth)
         if ari != pytest.approx(1.0):
             all_exact = False
@@ -202,7 +204,9 @@ def test_criterion_07_clustering_ground_truth():
     scattered = graph_core.PointSet(
         [str(i) for i in range(8)], rng.uniform(0, 1000, size=(8, 2))
     )
-    singletons = qclust.gbs_cluster(scattered, qclust.ClusterParams(d_tilde=1e-9, seed=0))
+    singletons = qclust.gbs_cluster(
+        graph_core.threshold_graph(scattered, 0.35, 1e-9), qclust.ClusterParams(seed=0)
+    )
     all_singleton = singletons.clusters == [[i] for i in range(8)]
     report(
         7,

@@ -71,16 +71,16 @@ class TestKMeans:
 class TestElbow:
     def test_three_blobs(self):
         points, _ = blobs([[0, 0], [40, 0], [20, 30]], size=5, spread=0.8, seed=1)
-        assert elbow_select_k(points, 8, seed=0) == 3
+        assert elbow_select_k(points, 8, seed=0).k == 3
 
     def test_single_blob_degenerate(self):
         points, _ = blobs([[0, 0]], size=10, spread=1.0, seed=2)
-        k = elbow_select_k(points, 6, seed=0)
+        k = elbow_select_k(points, 6, seed=0).k
         assert 2 <= k <= 5  # interior of the range; no true elbow exists
 
     def test_three_points(self):
         points = pts([[0, 0], [1, 0], [10, 10]])
-        assert elbow_select_k(points, 3, seed=0) == 2
+        assert elbow_select_k(points, 3, seed=0).k == 2
 
     def test_small_range_rejected(self):
         points = pts([[0, 0], [1, 0], [10, 10]])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from gbsclust import gbs_engine
 from gbsclust.errors import (
     CapacityError,
     DegenerateGraphError,
@@ -28,6 +29,7 @@ from gbsclust.gbs_engine import (
 from gbsclust.matchers import hafnian_all_subsets
 
 from helpers import (
+    calibrate_scaling_200_steps,
     graph_from_edges,
     hafnian_bruteforce,
     pnr_support_masses,
@@ -105,6 +107,28 @@ class TestCalibrateScaling:
     def test_nonpositive_target_rejected(self):
         with pytest.raises(InvalidInputError):
             calibrate_scaling(np.array([1.0]), 0.0)
+
+    def test_equals_200_step_bisection(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            lam = rng.uniform(0.05, 5.0, size=int(rng.integers(1, 27)))
+            lam[1:][rng.random(lam.size - 1) < 0.3] = 0.0  # graph spectra hold zeros
+            n_mean = float(rng.uniform(1e-6, 20.0))
+            assert calibrate_scaling(lam, n_mean) == calibrate_scaling_200_steps(lam, n_mean)
+
+    def test_stops_once_the_bracket_is_adjacent_floats(self, monkeypatch):
+        evaluations = []
+        mean_photons = gbs_engine._mean_photons
+
+        def counted(c, lam):
+            evaluations.append(c)
+            return mean_photons(c, lam)
+
+        monkeypatch.setattr(gbs_engine, "_mean_photons", counted)
+        for n_mean in (0.5, 2.0, 6.25):
+            evaluations.clear()
+            calibrate_scaling(np.array([3.0, 2.0, 0.5]), n_mean)
+            assert len(evaluations) < 60
 
     @pytest.mark.parametrize("n_mean", [float("nan"), float("inf")])
     def test_nonfinite_target_rejected(self, n_mean):

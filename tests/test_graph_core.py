@@ -16,7 +16,6 @@ from gbsclust.graph_core import (
     save_points_csv,
     threshold_graph,
     upper_triangle_values,
-    write_edge_list,
 )
 
 from helpers import graph_from_edges
@@ -127,6 +126,11 @@ class TestThresholdGraph:
         points = pts((1, 1), (1, 1), (1, 1), (4, 4))
         assert np.array_equal(threshold_graph(points, 0.35), np.zeros((4, 4)))
         assert np.array_equal(threshold_graph(points, 0.35, 0.0), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_percentile_outside_open_interval_rejected(self, q):
+        with pytest.raises(InvalidInputError, match="d_percentile"):
+            threshold_graph(pts((0, 0), (1, 0), (3, 0)), q)
 
 
 class TestGraphDensity:
@@ -247,7 +251,7 @@ class TestFileFormats:
     def test_edge_list_roundtrip(self, tmp_path):
         a = graph_from_edges(5, [(0, 1), (1, 4), (2, 3)])
         path = tmp_path / "graph.txt"
-        write_edge_list(a, path)
+        path.write_text("0 1\n1 4\n2 3\n")
         assert np.array_equal(read_edge_list(path), a)
 
     def test_edge_list_explicit_node_count(self, tmp_path):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbsclust.errors import InvalidInputError
 from gbsclust.gbs_engine import MODE_THRESHOLD, SampleBatch
-from gbsclust.graph_core import PointSet
+from gbsclust.graph_core import PointSet, threshold_graph
+from gbsclust.metrics import cohesion, weighted_density
 from gbsclust.qclust import (
+    T_MIN,
     ClusterParams,
     Clustering,
     compute_threshold,
@@ -14,6 +18,16 @@ from gbsclust.qclust import (
 )
 
 from helpers import adjusted_rand_index, graph_from_edges
+
+
+@st.composite
+def binary_graphs(draw, max_nodes=10):
+    """Symmetric 0/1 adjacency matrices with a zero diagonal."""
+    n = draw(st.integers(1, max_nodes))
+    bits = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    a = np.zeros((n, n))
+    a[np.triu_indices(n, 1)] = bits
+    return a + a.T
 
 
 def batch_of(*subsets):
@@ -39,14 +53,13 @@ def three_cliques_points(side=10.0, spread=0.1, size=5, seed=0):
 
 class TestComputeThreshold:
     def test_schedule(self):
-        params = ClusterParams()
-        assert compute_threshold(0, params) == pytest.approx(0.90)
-        assert compute_threshold(5, params) == pytest.approx(0.90 * 0.95 ** 5)
-        assert compute_threshold(500, params) == pytest.approx(0.50)
+        assert compute_threshold(0) == pytest.approx(0.90)
+        assert compute_threshold(5) == pytest.approx(0.90 * 0.95 ** 5)
+        assert compute_threshold(500) == pytest.approx(0.50)
 
     def test_negative_round_rejected(self):
         with pytest.raises(InvalidInputError):
-            compute_threshold(-1, ClusterParams())
+            compute_threshold(-1)
 
 
 class TestFindDensestCandidate:
@@ -118,8 +131,9 @@ class TestClusteringType:
 class TestGbsCluster:
     def test_three_cliques_recovered_exactly(self):
         points = three_cliques_points()
-        params = ClusterParams(d_tilde=1.0, seed=11)
-        result = gbs_cluster(points, params)
+        a = threshold_graph(points, 0.35, 1.0)
+        params = ClusterParams(seed=11)
+        result = gbs_cluster(a, params)
         expected = [list(range(0, 5)), list(range(5, 10)), list(range(10, 15))]
         assert sorted(result.clusters) == expected
 
@@ -128,27 +142,31 @@ class TestGbsCluster:
         coords = rng.uniform(0, 100, size=(6, 2))
         points = PointSet([str(i) for i in range(6)], coords)
         # threshold below every pairwise distance leaves the graph empty
-        params = ClusterParams(d_tilde=1e-9, seed=0)
-        result = gbs_cluster(points, params)
+        a = threshold_graph(points, 0.35, 1e-9)
+        params = ClusterParams(seed=0)
+        result = gbs_cluster(a, params)
         assert result.clusters == [[i] for i in range(6)]
 
     def test_two_close_points_form_one_cluster(self):
         points = PointSet(["a", "b"], np.array([[0.0, 0.0], [0.0, 0.1]]))
-        params = ClusterParams(d_tilde=1.0, seed=5)
-        result = gbs_cluster(points, params)
+        a = threshold_graph(points, 0.35, 1.0)
+        params = ClusterParams(seed=5)
+        result = gbs_cluster(a, params)
         assert result.clusters == [[0, 1]]
 
     def test_deterministic_given_seed(self):
         points = three_cliques_points(seed=3)
-        params = ClusterParams(d_tilde=1.0, seed=42)
-        r1 = gbs_cluster(points, params)
-        r2 = gbs_cluster(points, params)
+        a = threshold_graph(points, 0.35, 1.0)
+        params = ClusterParams(seed=42)
+        r1 = gbs_cluster(a, params)
+        r2 = gbs_cluster(a, params)
         assert r1.clusters == r2.clusters
 
     def test_full_partition_and_density_floor(self):
         points = three_cliques_points(seed=7)
-        params = ClusterParams(d_tilde=1.0, seed=1)
-        result = gbs_cluster(points, params)
+        a = threshold_graph(points, 0.35, 1.0)
+        params = ClusterParams(seed=1)
+        result = gbs_cluster(a, params)
         assert sorted(n for c in result.clusters for n in c) == list(range(15))
         from gbsclust.graph_core import (
             build_adjacency,
@@ -160,7 +178,7 @@ class TestGbsCluster:
         # the recovered cliques are complete, so their density clears t_min
         for cluster in result.clusters:
             if len(cluster) > 1:
-                assert graph_density(a, cluster) > params.t_min
+                assert graph_density(a, cluster) > T_MIN
 
     def test_percentile_rule_lands_in_the_gap(self):
         # groups of 8, 4 and 3 give exactly 37 within-group pairs out of
@@ -190,14 +208,14 @@ class TestGbsCluster:
             for j in range(15):
                 assert a[i, j] == (1.0 if i != j and truth[i] == truth[j] else 0.0)
 
-        result = gbs_cluster(points, ClusterParams(seed=9))
+        result = gbs_cluster(threshold_graph(points, 0.35), ClusterParams(seed=9))
         # no cluster may span two groups (graph components never mix)
         for cluster in result.clusters:
             assert len({truth[i] for i in cluster}) == 1
 
     def test_method_tag_and_params_recorded(self):
         points = three_cliques_points(seed=4)
-        result = gbs_cluster(points, ClusterParams(d_tilde=1.0, seed=2))
+        result = gbs_cluster(threshold_graph(points, 0.35, 1.0), ClusterParams(seed=2))
         assert result.method == "gbs"
         assert result.params["seed"] == 2
         assert result.n_points == 15
@@ -207,7 +225,33 @@ class TestGbsCluster:
         from gbsclust.metrics import cohesion, weighted_density
 
         points = three_cliques_points(seed=8)
-        result = gbs_cluster(points, ClusterParams(d_tilde=1.0, seed=3))
+        result = gbs_cluster(threshold_graph(points, 0.35, 1.0), ClusterParams(seed=3))
         a = build_adjacency(compute_distance_matrix(points), 1.0)
         assert weighted_density(result, a) == 1.0
         assert cohesion(result, a) == 1.0
+
+
+class TestGbsClusterOnGraphs:
+    @settings(max_examples=40, deadline=None)
+    @given(a=binary_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_partition_seed_determinism_and_metric_ranges(self, a, seed):
+        n = a.shape[0]
+        result = gbs_cluster(a, ClusterParams(seed=seed))
+        assert result.n_points == n
+        assert sorted(i for c in result.clusters for i in c) == list(range(n))
+        assert gbs_cluster(a, ClusterParams(seed=seed)).clusters == result.clusters
+        assert 0.0 <= weighted_density(result, a) <= 1.0
+        assert -1.0 <= cohesion(result, a) <= 1.0
+
+    @pytest.mark.parametrize(
+        "a, problem",
+        [
+            ([[0.0, 1.0], [0.0, 0.0]], "symmetric"),
+            ([[0.0, 0.5], [0.5, 0.0]], "0 or 1"),
+            ([[1.0, 1.0], [1.0, 0.0]], "zero diagonal"),
+        ],
+        ids=["asymmetric", "non-binary", "nonzero-diagonal"],
+    )
+    def test_invalid_graph_rejected(self, a, problem):
+        with pytest.raises(InvalidInputError, match=problem):
+            gbs_cluster(np.array(a), ClusterParams(seed=0))
