@@ -71,36 +71,35 @@ def _inertia(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     m = x.shape[0]
     chosen = [int(rng.integers(m))]
+    d2 = np.full(m, np.inf)  # squared distance to the nearest chosen centroid
     while len(chosen) < k:
-        d2 = ((x[:, None, :] - x[chosen][None, :, :]) ** 2).sum(axis=-1).min(axis=1)
+        d2 = np.minimum(d2, ((x - x[chosen[-1]]) ** 2).sum(axis=-1))
         total = d2.sum()
         if total <= 0.0:
             # all remaining points coincide with a centroid; pick lowest new index
-            fresh = [i for i in range(m) if i not in chosen]
-            chosen.append(fresh[0])
-            continue
-        chosen.append(int(rng.choice(m, p=d2 / total)))
+            chosen.append(next(i for i in range(m) if i not in chosen))
+        else:
+            chosen.append(int(rng.choice(m, p=d2 / total)))
     return x[chosen].copy()
 
 
 def _repair_empty(
     x: np.ndarray, centroids: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, bool]:
-    """Move the farthest point of the largest cluster into each empty one."""
-    k = centroids.shape[0]
-    repaired = False
-    for empty in range(k):
-        if np.any(labels == empty):
-            continue
-        sizes = np.bincount(labels, minlength=k)
+    """Move the farthest point of the largest cluster into each empty one; a
+    donor always keeps a point, so the empty clusters are known up front."""
+    sizes = np.bincount(labels, minlength=centroids.shape[0])
+    empties = np.flatnonzero(sizes == 0)
+    for empty in empties:
         donor = int(sizes.argmax())
         members = np.nonzero(labels == donor)[0]
         dist = ((x[members] - centroids[donor]) ** 2).sum(axis=1)
         steal = int(members[dist.argmax()])
         labels[steal] = empty
+        sizes[donor] -= 1
+        sizes[empty] += 1
         centroids[empty] = x[steal]
-        repaired = True
-    return labels, repaired
+    return labels, empties.size > 0
 
 
 def kmeans(points: PointSet, k: int, seed: int | None = None) -> KMeansResult:
@@ -122,10 +121,8 @@ def kmeans(points: PointSet, k: int, seed: int | None = None) -> KMeansResult:
         labels, _ = _repair_empty(x, centroids, _assign(x, centroids))
         prev_inertia = np.inf
         for _ in range(MAX_LLOYD_ITERATIONS):
-            for c in range(k):
-                members = labels == c
-                if members.any():
-                    centroids[c] = x[members].mean(axis=0)
+            for c in range(k):  # repaired labels leave no cluster empty
+                centroids[c] = x[labels == c].mean(axis=0)
             new_labels, repaired = _repair_empty(x, centroids, _assign(x, centroids))
             inertia = _inertia(x, centroids, new_labels)
             # Lloyd steps never increase inertia; repairs may, transiently
@@ -135,11 +132,8 @@ def kmeans(points: PointSet, k: int, seed: int | None = None) -> KMeansResult:
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels
-        result = KMeansResult(
-            centroids=centroids.copy(),
-            labels=labels.copy(),
-            inertia=_inertia(x, centroids, labels),
-        )
+        # labels equals new_labels here, so the last step's inertia is the fit's
+        result = KMeansResult(centroids.copy(), labels.copy(), inertia)
         if best is None or result.inertia < best.inertia:
             best = result
     assert best is not None

@@ -7,7 +7,7 @@ import sys
 
 import click
 
-from . import baselines, bench, gbs_engine, graph_core, matchers, qclust
+from . import baselines, bench, errors, gbs_engine, graph_core, matchers, qclust
 
 _MODES = {"pnr": gbs_engine.MODE_PNR, "threshold": gbs_engine.MODE_THRESHOLD}
 
@@ -20,7 +20,17 @@ def _write_clustering(clustering: qclust.Clustering, points, out_path: str) -> N
     click.echo(f"wrote {out_path} ({len(clustering.clusters)} clusters)")
 
 
-@click.group()
+class _Group(click.Group):
+    """Command group that reports a package error as one ``Error:`` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except errors.GbsClustError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 def main():
     """GBS-based clustering toolkit."""
 

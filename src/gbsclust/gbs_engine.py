@@ -27,7 +27,6 @@ normalization and threshold-mode tests are checked against.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -112,8 +111,7 @@ class GbsEncoding:
     mode: str = MODE_PNR
 
     def __post_init__(self):
-        if self.mode not in (MODE_PNR, MODE_THRESHOLD):
-            raise InvalidInputError(f"unknown sampling mode {self.mode!r}")
+        max_nodes(self.mode)  # rejects an unknown mode
         if np.any((self.c * self.takagi.lam) ** 2 >= 1.0):
             raise InvalidInputError("rescaling violates c * lambda_max < 1")
         implied = _mean_photons(self.c, self.takagi.lam)
@@ -236,11 +234,16 @@ def subset_weight(a: np.ndarray, enc: GbsEncoding, subset) -> float:
 # exact subset distribution
 # ---------------------------------------------------------------------------
 
-def _popcounts(n_bits: int) -> np.ndarray:
-    pc = np.zeros(1, dtype=np.uint8)
-    for _ in range(n_bits):
-        pc = np.concatenate([pc, pc + 1])
-    return pc
+def _members(masks: np.ndarray, n: int) -> np.ndarray:
+    """Member nodes of every mask, ascending within each mask, masks in order."""
+    return np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1]
+
+
+def _subsets(masks: np.ndarray, n: int) -> list[tuple[int, ...]]:
+    """Each mask's member nodes as an ascending tuple."""
+    nodes = _members(masks, n).tolist()
+    ends = np.cumsum(np.bitwise_count(masks)).tolist()
+    return [tuple(nodes[s:e]) for s, e in zip([0, *ends], ends)]
 
 
 def _spread(local: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -263,13 +266,12 @@ def _pnr_support(a: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
     isolated nodes only admit the empty part.  A subset's hafnian is the
     product of its parts' hafnians, so the nonzero entries of the
     components are combined by outer product (mask OR, hafnian product)
-    and sorted into mask order.  On a 0/1 adjacency every hafnian is an
-    integer below 2^53, so the products are exact and the weights equal
-    those of one sweep over the whole graph bit for bit.
+    and sorted into mask order; |S| is the mask's popcount.  On a 0/1
+    adjacency every hafnian is an integer below 2^53, so the products are
+    exact and the weights equal those of one sweep over the whole graph.
     """
     masks = np.zeros(1, dtype=np.int64)
     weights = np.ones(1)
-    sizes = np.zeros(1, dtype=np.uint8)
     parts = [nodes for nodes in graph_core.connected_components(a) if nodes.size > 1]
     for nodes in parts:
         table = hafnian_all_subsets(a[np.ix_(nodes, nodes)])
@@ -278,7 +280,6 @@ def _pnr_support(a: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
         del table  # free the 2^k lattice before the combined arrays grow
         masks = (masks[:, None] | _spread(local, nodes)[None, :]).ravel()
         weights = np.multiply.outer(weights, hafs).ravel()
-        sizes = np.add.outer(sizes, _popcounts(nodes.size)[local]).ravel()
     if len(parts) > 1:
         # masks < 2^26 and fewer than 2^32 entries: sort (mask, position) keys
         masks <<= 32
@@ -286,9 +287,9 @@ def _pnr_support(a: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
         masks.sort()
         order = masks & 0xFFFFFFFF
         masks >>= 32
-        weights, sizes = weights[order], sizes[order]
+        weights = weights[order]
     weights *= weights
-    weights *= (c ** np.arange(a.shape[0] + 1, dtype=float))[sizes]
+    weights *= (c ** np.arange(a.shape[0] + 1, dtype=float))[np.bitwise_count(masks)]
     keep = weights > 0.0
     if not keep.all():  # c^|S| underflowed
         masks, weights = masks[keep], weights[keep]
@@ -300,24 +301,25 @@ def _threshold_weights(a: np.ndarray, c: float) -> np.ndarray:
 
     Uses det(I - O_Z) = det(I - B_Z) det(I + B_Z) for the paired coupling
     block of B = cA, then a signed subset-sum (Moebius) transform turns the
-    per-subset vacuum factors into inclusion-exclusion weights.
+    per-subset vacuum factors into inclusion-exclusion weights.  B_Z takes
+    its rows and columns, ascending, from the bits of Z's mask.
     """
     n = a.shape[0]
     b = c * a
     z = np.empty(1 << n)
     z[0] = 1.0
+    pc = np.bitwise_count(np.arange(1 << n))
     for k in range(1, n + 1):
-        combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
-        masks = (1 << combos).sum(axis=1)
+        masks = np.flatnonzero(pc == k)
         eye = np.eye(k)
-        for s in range(0, combos.shape[0], 65536):
-            idx = combos[s:s + 65536]
+        for s in range(0, masks.size, 65536):
+            chunk = masks[s:s + 65536]
+            idx = _members(chunk, n).reshape(-1, k)
             sub = b[idx[:, :, None], idx[:, None, :]]
             dets = np.linalg.det(eye - sub) * np.linalg.det(eye + sub)
             if np.any(dets <= 0.0):
                 raise InvalidInputError("threshold coupling is not physical")
-            z[masks[s:s + 65536]] = 1.0 / np.sqrt(dets)
-    pc = _popcounts(n)
+            z[chunk] = 1.0 / np.sqrt(dets)
     sign = np.where(pc % 2 == 0, 1.0, -1.0)
     h = z * sign
     for bit in range(n):
@@ -390,10 +392,7 @@ class GraphSampler:
         u = rng.random(n_samples) * self.total
         masks, cum = self.support
         picked = masks[np.searchsorted(cum, u, side="right")]
-        samples = [
-            tuple(i for i in range(self.m) if (int(mask) >> i) & 1) for mask in picked
-        ]
-        return SampleBatch(samples=samples, n=n_samples, seed=seed, mode=self.mode)
+        return SampleBatch(_subsets(picked, self.m), n_samples, seed, self.mode)
 
 
 def sample(
@@ -430,12 +429,8 @@ def subset_distribution(a: np.ndarray, n_mean: float, mode: str = MODE_PNR) -> d
     sampler = GraphSampler(a, n_mean, mode)
     masks, cum = sampler.support
     weights = np.diff(cum, prepend=0.0)
-    out: dict[tuple[int, ...], float] = {}
-    for mask, weight in zip(masks, weights):
-        if weight > 0.0:
-            subset = tuple(i for i in range(sampler.m) if (int(mask) >> i) & 1)
-            out[subset] = float(weight / cum[-1])
-    return out
+    subsets = _subsets(masks, sampler.m)
+    return {s: float(w / cum[-1]) for s, w in zip(subsets, weights) if w > 0.0}
 
 
 def probability_pnr(a: np.ndarray, enc: GbsEncoding, pattern) -> float:

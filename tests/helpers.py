@@ -2,14 +2,20 @@
 
 Everything here is deliberately written from scratch, without calling into
 the package, so the tests compare two genuinely different routes to the same
-value.
+value.  The exceptions are the earlier implementations kept verbatim as
+bit-identity references (``threshold_weights_by_combinations``,
+``kmeans_pp_init_all_centroids``, ``repair_empty_rescanning``); they raise
+the package's error types.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
+
+from gbsclust.errors import InvalidInputError, NumericError
 
 
 def all_pairings(items):
@@ -101,8 +107,6 @@ def pnr_support_masses(a: np.ndarray, c: float, cutoff: int) -> dict[frozenset, 
     at most ``cutoff`` (the constant 1/sqrt(det sigma_Q) is left out, so the
     result is an unnormalized mass per support).
     """
-    import itertools
-
     m = a.shape[0]
     haf = MultisetHafnian(a)
     masses: dict[frozenset, float] = {}
@@ -196,3 +200,85 @@ def calibrate_scaling_200_steps(lam: np.ndarray, n_mean: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _popcounts(n_bits: int) -> np.ndarray:
+    pc = np.zeros(1, dtype=np.uint8)
+    for _ in range(n_bits):
+        pc = np.concatenate([pc, pc + 1])
+    return pc
+
+
+def threshold_weights_by_combinations(a: np.ndarray, c: float) -> np.ndarray:
+    """Tor(O_S) for every subset mask, batching index lists by combinations.
+
+    The threshold table as it was built from ``itertools.combinations``
+    index lists in chunks of 65536 subsets, with a concatenated popcount
+    table; the package's mask-driven route must match it bit for bit.
+    """
+    n = a.shape[0]
+    b = c * a
+    z = np.empty(1 << n)
+    z[0] = 1.0
+    for k in range(1, n + 1):
+        combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+        masks = (1 << combos).sum(axis=1)
+        eye = np.eye(k)
+        for s in range(0, combos.shape[0], 65536):
+            idx = combos[s:s + 65536]
+            sub = b[idx[:, :, None], idx[:, None, :]]
+            dets = np.linalg.det(eye - sub) * np.linalg.det(eye + sub)
+            if np.any(dets <= 0.0):
+                raise InvalidInputError("threshold coupling is not physical")
+            z[masks[s:s + 65536]] = 1.0 / np.sqrt(dets)
+    pc = _popcounts(n)
+    sign = np.where(pc % 2 == 0, 1.0, -1.0)
+    h = z * sign
+    for bit in range(n):
+        view = h.reshape(-1, 2, 1 << bit)
+        view[:, 1, :] += view[:, 0, :]
+    w = h * sign
+    # inclusion-exclusion cancellation leaves float dust around zero
+    floor = float(w.min())
+    if floor < -1e-8 * max(1.0, float(w.max())):
+        raise NumericError(f"threshold weight went negative: {floor:.3e}")
+    np.clip(w, 0.0, None, out=w)
+    return w
+
+
+def kmeans_pp_init_all_centroids(
+    x: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeding that recomputes the distance to every chosen centroid."""
+    m = x.shape[0]
+    chosen = [int(rng.integers(m))]
+    while len(chosen) < k:
+        d2 = ((x[:, None, :] - x[chosen][None, :, :]) ** 2).sum(axis=-1).min(axis=1)
+        total = d2.sum()
+        if total <= 0.0:
+            # all remaining points coincide with a centroid; pick lowest new index
+            fresh = [i for i in range(m) if i not in chosen]
+            chosen.append(fresh[0])
+            continue
+        chosen.append(int(rng.choice(m, p=d2 / total)))
+    return x[chosen].copy()
+
+
+def repair_empty_rescanning(
+    x: np.ndarray, centroids: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """Empty-cluster repair that rescans the labels for every cluster."""
+    k = centroids.shape[0]
+    repaired = False
+    for empty in range(k):
+        if np.any(labels == empty):
+            continue
+        sizes = np.bincount(labels, minlength=k)
+        donor = int(sizes.argmax())
+        members = np.nonzero(labels == donor)[0]
+        dist = ((x[members] - centroids[donor]) ** 2).sum(axis=1)
+        steal = int(members[dist.argmax()])
+        labels[steal] = empty
+        centroids[empty] = x[steal]
+        repaired = True
+    return labels, repaired

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbsclust.baselines import (
+    _assign,
+    _kmeans_pp_init,
+    _repair_empty,
     dbscan,
     dbscan_with_postprocess,
     elbow_select_k,
@@ -10,7 +15,12 @@ from gbsclust.baselines import (
 from gbsclust.errors import InvalidInputError
 from gbsclust.graph_core import PointSet
 
-from helpers import adjusted_rand_index, graph_from_edges
+from helpers import (
+    adjusted_rand_index,
+    graph_from_edges,
+    kmeans_pp_init_all_centroids,
+    repair_empty_rescanning,
+)
 
 
 def pts(coords):
@@ -170,3 +180,64 @@ class TestDbscanWithPostprocess:
         a = build_adjacency(compute_distance_matrix(points), 0.02)
         full = dbscan_with_postprocess(points, 0.005, 2, a)
         assert sorted(n for c in full.clusters for n in c) == list(range(10))
+
+
+@st.composite
+def points_with_duplicates(draw):
+    """2-14 points drawn from fewer or equally many distinct ones, and a k."""
+    m = draw(st.integers(2, 14))
+    distinct = draw(st.integers(1, m))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.random((distinct, 2))[rng.integers(distinct, size=m)]
+    k = draw(st.one_of(st.just(m), st.integers(1, m)))
+    return x, k, seed
+
+
+class TestKMeansBitIdentity:
+    """The k-means steps that reuse what they hold match the rescanning ones."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(points_with_duplicates())
+    def test_init_equals_recomputing_every_centroid(self, case):
+        x, k, seed = case
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        centroids = _kmeans_pp_init(x, k, rng_new)
+        reference = kmeans_pp_init_all_centroids(x, k, rng_ref)
+        assert np.array_equal(centroids, reference)
+        assert np.array_equal(_assign(x, centroids), _assign(x, reference))
+        assert rng_new.random() == rng_ref.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(points_with_duplicates(), st.integers(0, 2**32 - 1))
+    def test_repair_equals_rescanning_repair(self, case, label_seed):
+        x, k, _ = case
+        rng = np.random.default_rng(label_seed)
+        used = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        labels = used[rng.integers(used.size, size=x.shape[0])]
+        centroids = rng.random((k, 2))
+        got_centroids, ref_centroids = centroids.copy(), centroids.copy()
+        got_labels, got_flag = _repair_empty(x, got_centroids, labels.copy())
+        ref_labels, ref_flag = repair_empty_rescanning(x, ref_centroids, labels.copy())
+        assert np.array_equal(got_labels, ref_labels)
+        assert np.array_equal(got_centroids, ref_centroids)
+        assert got_flag == ref_flag
+
+    def test_repair_fills_several_empty_clusters(self):
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [3.0, 0.0]])
+        labels = np.array([2, 2, 2, 4, 4])
+        centroids = np.array([[9.0, 9.0], [9.0, 9.0], [1.0, 0.0], [9.0, 9.0], [3.0, 0.0]])
+        ref_labels, ref_flag = repair_empty_rescanning(
+            x, centroids.copy(), labels.copy()
+        )
+        got_labels, got_flag = _repair_empty(x, centroids.copy(), labels.copy())
+        assert got_flag and ref_flag
+        assert np.array_equal(got_labels, ref_labels)
+        assert sorted(np.bincount(got_labels, minlength=5)) == [1, 1, 1, 1, 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(points_with_duplicates())
+    def test_inertia_is_that_of_the_returned_fit(self, case):
+        x, k, seed = case
+        result = kmeans(pts(x), k, seed=seed)
+        assert result.inertia == float(((x - result.centroids[result.labels]) ** 2).sum())

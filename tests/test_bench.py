@@ -263,3 +263,49 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert (out_dir / "report.csv").exists()
         assert (out_dir / "summary.json").exists()
+
+
+class TestCliErrors:
+    """A package error ends a command with one ``Error:`` line, no traceback."""
+
+    def invoke(self, tmp_path, csv_text, extra):
+        points_path = tmp_path / "points.csv"
+        points_path.write_text(csv_text)
+        return CliRunner().invoke(
+            cli_main,
+            ["cluster", "--input", str(points_path), "--out", str(tmp_path / "g.json")]
+            + extra,
+        )
+
+    def test_percentile_zero(self, tmp_path):
+        result = self.invoke(
+            tmp_path, "id,lat,lon\np0,0.1,0.2\np1,0.2,0.3\np2,0.5,0.5\n",
+            ["--d-percentile", "0"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: d_percentile must lie strictly in (0, 1)" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "g.json").exists()
+
+    def test_unparsable_csv_cell(self, tmp_path):
+        result = self.invoke(tmp_path, "id,lat,lon\np0,0.1,0.2\np1,abc,0.3\n", [])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: unparsable coordinate" in result.output
+        assert "line 3" in result.output
+        assert "Traceback" not in result.output
+
+    def test_bench_failed_rows_keep_exit_code_one(self, tmp_path, monkeypatch):
+        def too_big(a, params):
+            raise CapacityError("too big")
+
+        monkeypatch.setattr(qclust, "gbs_cluster", too_big)
+        config_path = tmp_path / "bench.json"
+        config_path.write_text(json.dumps({"dataset_count": 1, "m_min": 8, "m_max": 8}))
+        result = CliRunner().invoke(
+            cli_main, ["bench", "--config", str(config_path), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 1
+        assert "1 failed rows" in result.output
+        assert "Error:" not in result.output

@@ -33,6 +33,7 @@ from helpers import (
     graph_from_edges,
     hafnian_bruteforce,
     pnr_support_masses,
+    threshold_weights_by_combinations,
     total_variation_distance,
 )
 
@@ -441,3 +442,53 @@ class TestSupport:
         dense_masks, dense_cum, _ = dense_support(a, 2.0)
         assert np.array_equal(masks, dense_masks)
         assert np.allclose(cum, dense_cum, rtol=1e-13, atol=0.0)
+
+
+@st.composite
+def threshold_couplings(draw):
+    """A 0/1 or weighted symmetric graph of 1-12 nodes and a physical c."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.triu(rng.random((n, n)) < draw(st.floats(0.0, 1.0)), 1).astype(float)
+    if draw(st.booleans()):
+        a *= rng.uniform(0.1, 3.0, size=(n, n))
+    a = a + a.T
+    lam_max = float(np.abs(np.linalg.eigvalsh(a)).max())
+    scale = draw(st.floats(0.05, 0.95))
+    return a, scale / lam_max if lam_max > 0.0 else scale
+
+
+class TestMaskRoutes:
+    """Subset sizes and members come from the masks; the bytes do not move."""
+
+    def test_subsets_read_members_off_the_mask_bits(self):
+        masks = np.array([0, 0b101, 0b110, 1 << 25, (1 << 26) - 1], dtype=np.int64)
+        assert gbs_engine._subsets(masks, 26) == [
+            (),
+            (0, 2),
+            (1, 2),
+            (25,),
+            tuple(range(26)),
+        ]
+        assert gbs_engine._subsets(masks[:0], 26) == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(threshold_couplings())
+    def test_threshold_weights_equal_combination_route(self, case):
+        a, c = case
+        assert np.array_equal(
+            gbs_engine._threshold_weights(a, c),
+            threshold_weights_by_combinations(a, c),
+        )
+
+    def test_threshold_weights_equal_combination_route_across_chunks(self):
+        # 19 nodes is the smallest graph whose largest size class,
+        # C(19, 9) = 92378 subsets, spans two 65536-subset chunks
+        rng = np.random.default_rng(19)
+        a = np.triu(rng.random((19, 19)) < 0.3, 1).astype(float)
+        a = a + a.T
+        c = 0.8 / float(np.abs(np.linalg.eigvalsh(a)).max())
+        assert np.array_equal(
+            gbs_engine._threshold_weights(a, c),
+            threshold_weights_by_combinations(a, c),
+        )
