@@ -4,10 +4,11 @@ Both are written for small benchmark datasets (tens of points) with fully
 deterministic tie-breaking, so benchmark rows are reproducible bit for bit.
 k-means uses k-means++ seeding, Lloyd iterations, empty-cluster repair by
 stealing the farthest point from the largest cluster, and keeps the best of
-10 restarts by inertia.  DBSCAN uses brute-force neighbor scans with closed
-neighborhoods (a point counts itself), and its noise points can be folded
-back into clusters with the same connectivity-ratio post-processing the GBS
-driver uses.
+10 restarts by inertia.  The restarts advance together as arrays, each with
+its own generator, and every fit is bit for bit the one it would be alone.
+DBSCAN uses brute-force neighbor scans with closed neighborhoods (a point
+counts itself), and its noise points can be folded back into clusters with
+the same connectivity-ratio post-processing the GBS driver uses.
 """
 
 from __future__ import annotations
@@ -60,27 +61,43 @@ class DbscanResult:
 
 
 def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
-    return d2.argmin(axis=1)  # argmin takes the lowest centroid index on ties
-
-
-def _inertia(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
-    return float(((x - centroids[labels]) ** 2).sum())
+    """Nearest centroid of every point; ``centroids`` may lead with a fit axis."""
+    d2 = ((x[:, None, :] - centroids[..., None, :, :]) ** 2).sum(axis=-1)
+    return d2.argmin(axis=-1)  # argmin takes the lowest centroid index on ties
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    return _kmeans_pp_init_fits(x, k, [rng])[0]
+
+
+def _kmeans_pp_init_fits(
+    x: np.ndarray, k: int, rngs: list[np.random.Generator]
+) -> np.ndarray:
+    """k-means++ seeding of one fit per generator, all fits in step.
+
+    Each draw is ``rng.choice(m, p=d2 / total)`` spelled out as numpy does
+    it (normalized cumulative sum, one ``random()``, right-side search), so
+    picks and generator states are those of the per-fit call.
+    """
     m = x.shape[0]
-    chosen = [int(rng.integers(m))]
-    d2 = np.full(m, np.inf)  # squared distance to the nearest chosen centroid
-    while len(chosen) < k:
-        d2 = np.minimum(d2, ((x - x[chosen[-1]]) ** 2).sum(axis=-1))
-        total = d2.sum()
-        if total <= 0.0:
+    chosen = np.empty((len(rngs), k), dtype=np.intp)
+    chosen[:, 0] = [rng.integers(m) for rng in rngs]
+    # squared distance of every point to its fit's nearest chosen centroid
+    d2 = np.full((len(rngs), m), np.inf)
+    for step in range(1, k):
+        d2 = np.minimum(d2, ((x - x[chosen[:, step - 1], None, :]) ** 2).sum(axis=-1))
+        total = d2.sum(axis=1)
+        if not np.isfinite(total).all():
+            raise InvalidInputError("squared distances overflow in k-means++ seeding")
+        draw = total > 0.0
+        cdf = np.cumsum(d2[draw] / total[draw, None], axis=1)
+        cdf = cdf / cdf[:, -1:]
+        for row, fit in zip(cdf, np.flatnonzero(draw)):
+            chosen[fit, step] = np.count_nonzero(row <= rngs[fit].random())
+        for fit in np.flatnonzero(~draw):
             # all remaining points coincide with a centroid; pick lowest new index
-            chosen.append(next(i for i in range(m) if i not in chosen))
-        else:
-            chosen.append(int(rng.choice(m, p=d2 / total)))
-    return x[chosen].copy()
+            chosen[fit, step] = next(i for i in range(m) if i not in chosen[fit, :step])
+    return x[chosen]
 
 
 def _repair_empty(
@@ -102,42 +119,70 @@ def _repair_empty(
     return labels, empties.size > 0
 
 
+def _repair_empty_fits(
+    x: np.ndarray, centroids: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """``_repair_empty`` in place on every fit that has an empty cluster;
+    returns which fits were repaired."""
+    fits, k = centroids.shape[:2]
+    cells = np.arange(fits)[:, None] * k + labels
+    sizes = np.bincount(cells.ravel(), minlength=fits * k).reshape(fits, k)
+    repaired = (sizes == 0).any(axis=1)
+    for fit in np.flatnonzero(repaired):
+        _repair_empty(x, centroids[fit], labels[fit])
+    return repaired
+
+
 def kmeans(points: PointSet, k: int, seed: int | None = None) -> KMeansResult:
     """Lloyd's k-means with k-means++ seeding, best of 10 restarts.
 
     Iterates until assignments stop changing or 300 rounds; empty clusters
     are repaired by stealing the farthest point from the largest cluster.
+    The restarts advance together as arrays; each keeps its own generator
+    and drops out once its labels stop changing, so every fit is the one
+    it would be if run alone.
     """
     x = points.coords
-    m = x.shape[0]
+    m, dim = x.shape
     if not 1 <= k <= m:
         raise InvalidInputError(f"k must be in [1, {m}], got {k}")
-    best: KMeansResult | None = None
-    for restart in range(N_RESTARTS):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([0 if seed is None else seed, restart])
-        )
-        centroids = _kmeans_pp_init(x, k, rng)
-        labels, _ = _repair_empty(x, centroids, _assign(x, centroids))
-        prev_inertia = np.inf
-        for _ in range(MAX_LLOYD_ITERATIONS):
-            for c in range(k):  # repaired labels leave no cluster empty
-                centroids[c] = x[labels == c].mean(axis=0)
-            new_labels, repaired = _repair_empty(x, centroids, _assign(x, centroids))
-            inertia = _inertia(x, centroids, new_labels)
-            # Lloyd steps never increase inertia; repairs may, transiently
-            if not repaired and inertia > prev_inertia + 1e-9:
-                raise AssertionError("Lloyd iteration increased inertia")
-            prev_inertia = inertia
-            if np.array_equal(new_labels, labels):
-                break
-            labels = new_labels
-        # labels equals new_labels here, so the last step's inertia is the fit's
-        result = KMeansResult(centroids.copy(), labels.copy(), inertia)
-        if best is None or result.inertia < best.inertia:
-            best = result
-    assert best is not None
-    return best
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence([0 if seed is None else seed, r]))
+        for r in range(N_RESTARTS)
+    ]
+    centroids = _kmeans_pp_init_fits(x, k, rngs)
+    labels = _assign(x, centroids)
+    _repair_empty_fits(x, centroids, labels)
+    inertia = np.full(N_RESTARTS, np.inf)
+    active = np.arange(N_RESTARTS)
+    for _ in range(MAX_LLOYD_ITERATIONS):
+        fits = active.size
+        old_labels = labels[active]
+        # bincount adds each cluster's members in point order, as mean() does;
+        # repaired labels leave no cluster empty
+        cells = (np.arange(fits)[:, None] * k + old_labels).ravel()
+        counts = np.bincount(cells, minlength=fits * k)
+        sums = [
+            np.bincount(cells, weights=np.tile(x[:, j], fits), minlength=fits * k)
+            for j in range(dim)
+        ]
+        fit_centroids = np.stack(sums, axis=-1) / counts[:, None]
+        fit_centroids = fit_centroids.reshape(fits, k, dim)
+        new_labels = _assign(x, fit_centroids)
+        repaired = _repair_empty_fits(x, fit_centroids, new_labels)
+        diff = x - fit_centroids[np.arange(fits)[:, None], new_labels]
+        fit_inertia = (diff**2).reshape(fits, -1).sum(axis=1)
+        # Lloyd steps never increase inertia; repairs may, transiently
+        if np.any(~repaired & (fit_inertia > inertia[active] + 1e-9)):
+            raise AssertionError("Lloyd iteration increased inertia")
+        centroids[active] = fit_centroids
+        labels[active] = new_labels
+        inertia[active] = fit_inertia
+        active = active[~(new_labels == old_labels).all(axis=1)]
+        if active.size == 0:
+            break
+    best = int(np.argmin(inertia))  # the first restart among equal inertias
+    return KMeansResult(centroids[best], labels[best], float(inertia[best]))
 
 
 def elbow_select_k(

@@ -6,7 +6,9 @@ weighted by cluster size.  Cohesion averages, over clusters, internal edge
 density minus normalized external connectivity.  Singleton clusters count
 as perfectly dense (density 1, internal density 1) and score 0 in the
 silhouette, conventions the isolated-point rule of the pipelines makes
-unavoidable.
+unavoidable.  A one-cluster partition also scores 0 in the silhouette: no
+point has a nearest other cluster, so b(i) does not exist, the same gap
+the singleton rule covers.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedMetricError
 from .graph_core import PointSet, compute_distance_matrix, edge_counts
 from .graph_core import graph_density  # noqa: F401  (re-exported)
 from .qclust import Clustering
@@ -71,9 +72,10 @@ class MetricsReport:
 
 
 def silhouette(points: PointSet, clustering: Clustering) -> float:
-    """Mean silhouette over points; singleton members contribute 0."""
-    if len(clustering.clusters) < 2:
-        raise UndefinedMetricError("silhouette needs at least 2 clusters")
+    """Mean silhouette over points; singleton members contribute 0, and a
+    one-cluster partition, where no point has another cluster, scores 0."""
+    if len(clustering.clusters) == 1:
+        return 0.0
     d = compute_distance_matrix(points)
     labels = clustering.labels
     scores = np.zeros(len(points))

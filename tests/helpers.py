@@ -4,8 +4,8 @@ Everything here is deliberately written from scratch, without calling into
 the package, so the tests compare two genuinely different routes to the same
 value.  The exceptions are the earlier implementations kept verbatim as
 bit-identity references (``threshold_weights_by_combinations``,
-``kmeans_pp_init_all_centroids``, ``repair_empty_rescanning``); they raise
-the package's error types.
+``kmeans_pp_init_all_centroids``, ``repair_empty_rescanning``,
+``kmeans_per_restart``); they raise the package's error types.
 """
 
 from __future__ import annotations
@@ -282,3 +282,47 @@ def repair_empty_rescanning(
         centroids[empty] = x[steal]
         repaired = True
     return labels, repaired
+
+
+def kmeans_per_restart(
+    x: np.ndarray, k: int, seed: int | None, n_restarts: int = 10
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Best-of-``n_restarts`` k-means, one restart after another.
+
+    The restart loop as it was before restarts ran in lockstep, on the
+    reference seeding and repair above; returns (centroids, labels,
+    inertia) of the first restart with the least inertia.
+    """
+
+    def assign(centroids):
+        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
+        return d2.argmin(axis=1)
+
+    m = x.shape[0]
+    if not 1 <= k <= m:
+        raise InvalidInputError(f"k must be in [1, {m}], got {k}")
+    best = None
+    for restart in range(n_restarts):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([0 if seed is None else seed, restart])
+        )
+        centroids = kmeans_pp_init_all_centroids(x, k, rng)
+        labels, _ = repair_empty_rescanning(x, centroids, assign(centroids))
+        prev_inertia = np.inf
+        for _ in range(300):
+            for c in range(k):  # repaired labels leave no cluster empty
+                centroids[c] = x[labels == c].mean(axis=0)
+            new_labels, repaired = repair_empty_rescanning(x, centroids, assign(centroids))
+            inertia = float(((x - centroids[new_labels]) ** 2).sum())
+            # Lloyd steps never increase inertia; repairs may, transiently
+            if not repaired and inertia > prev_inertia + 1e-9:
+                raise AssertionError("Lloyd iteration increased inertia")
+            prev_inertia = inertia
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+        # labels equals new_labels here, so the last step's inertia is the fit's
+        result = (centroids.copy(), labels.copy(), inertia)
+        if best is None or result[2] < best[2]:
+            best = result
+    return best

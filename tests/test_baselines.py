@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gbsclust import baselines
 from gbsclust.baselines import (
+    KMeansResult,
     _assign,
     _kmeans_pp_init,
     _repair_empty,
@@ -18,6 +22,7 @@ from gbsclust.graph_core import PointSet
 from helpers import (
     adjusted_rand_index,
     graph_from_edges,
+    kmeans_per_restart,
     kmeans_pp_init_all_centroids,
     repair_empty_rescanning,
 )
@@ -71,6 +76,12 @@ class TestKMeans:
         r2 = kmeans(points, 3, seed=11)
         assert np.array_equal(r1.labels, r2.labels)
         assert r1.inertia == r2.inertia
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_distances_rejected(self):
+        points = pts([[1e200, 0.0], [-1e200, 0.0], [0.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="overflow"):
+            kmeans(points, 2, seed=0)
 
     def test_partition(self):
         points, _ = blobs([[0, 0], [8, 8]], size=6, spread=2.0, seed=3)
@@ -241,3 +252,35 @@ class TestKMeansBitIdentity:
         x, k, seed = case
         result = kmeans(pts(x), k, seed=seed)
         assert result.inertia == float(((x - result.centroids[result.labels]) ** 2).sum())
+
+
+def _kmeans_one_restart_at_a_time(points, k, seed=None):
+    return KMeansResult(*kmeans_per_restart(points.coords, k, seed))
+
+
+class TestKMeansLockstep:
+    """Restarts run in lockstep give the fits of restarts run one by one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(points_with_duplicates())
+    def test_equals_per_restart_loop(self, case):
+        x, k, seed = case
+        result = kmeans(pts(x), k, seed=seed)
+        centroids, labels, inertia = kmeans_per_restart(x, k, seed)
+        assert np.array_equal(result.centroids, centroids)
+        assert np.array_equal(result.labels, labels)
+        assert result.inertia == inertia
+
+    @settings(max_examples=25, deadline=None)
+    @given(points_with_duplicates())
+    def test_elbow_picks_the_per_restart_fit(self, case):
+        x, _, seed = case
+        assume(x.shape[0] >= 3)
+        k_max = min(8, x.shape[0])
+        result = elbow_select_k(pts(x), k_max, seed=seed)
+        with mock.patch.object(baselines, "kmeans", _kmeans_one_restart_at_a_time):
+            reference = elbow_select_k(pts(x), k_max, seed=seed)
+        assert result.k == reference.k
+        assert np.array_equal(result.centroids, reference.centroids)
+        assert np.array_equal(result.labels, reference.labels)
+        assert result.inertia == reference.inertia

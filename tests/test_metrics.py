@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gbsclust.errors import UndefinedMetricError
 from gbsclust.graph_core import PointSet
 from gbsclust.metrics import (
     cohesion,
@@ -48,9 +47,9 @@ class TestSilhouette:
         swapped = clustering([[0, 3], [1, 2]], 4)
         assert silhouette(TIGHT_PAIRS, swapped) < 0.0
 
-    def test_single_cluster_undefined(self):
-        with pytest.raises(UndefinedMetricError):
-            silhouette(TIGHT_PAIRS, clustering([[0, 1, 2, 3]], 4))
+    def test_single_cluster_scores_zero(self):
+        # no point has a nearest other cluster, so every s(i) is 0
+        assert silhouette(TIGHT_PAIRS, clustering([[0, 1, 2, 3]], 4)) == 0.0
 
     def test_coincident_points_score_zero(self):
         points = pts([[0, 0], [0, 0], [5, 5], [0, 1]])
