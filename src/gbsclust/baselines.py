@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import graph_core
 from .errors import InvalidInputError
 from .graph_core import PointSet
 from .qclust import Clustering, post_process
@@ -215,15 +216,15 @@ def dbscan(points: PointSet, eps: float, min_pts: int) -> DbscanResult:
     A point is core when its closed eps-neighborhood (itself included) holds
     at least ``min_pts`` points.  Clusters are grown from core points in
     ascending index order; border points join the first cluster that reaches
-    them; anything unreachable is noise.
+    them; anything unreachable is noise.  Distances come from
+    ``graph_core.compute_distance_matrix``.
     """
     if eps <= 0.0:
         raise InvalidInputError("eps must be positive")
     if min_pts < 1:
         raise InvalidInputError("min_pts must be at least 1")
-    x = points.coords
-    m = x.shape[0]
-    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+    m = len(points)
+    d = graph_core.compute_distance_matrix(points)
     neighbors = [np.nonzero(d[i] <= eps)[0] for i in range(m)]
     core = np.array([len(nb) >= min_pts for nb in neighbors])
 

@@ -135,12 +135,6 @@ class BenchReport:
         return out
 
 
-def _derive_seed(master_seed: int, *path: int) -> int:
-    return int(
-        np.random.SeedSequence([master_seed, *path]).generate_state(1, np.uint64)[0]
-    )
-
-
 def generate_dataset(
     seed: int, m: int, config: BenchConfig, profile: str = "strip"
 ) -> graph_core.PointSet:
@@ -239,20 +233,19 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     """
     report = BenchReport(config=config)
     for idx in range(config.dataset_count):
-        data_seed = _derive_seed(config.master_seed, idx)
+        data_seed = qclust.derive_seed(config.master_seed, idx)
         rng = np.random.default_rng(data_seed)
         m = int(rng.integers(config.m_min, config.m_max + 1))
         profile = "blob" if (idx + 1) % config.blob_every == 0 else "strip"
         points = generate_dataset(
-            _derive_seed(config.master_seed, idx, 1), m, config, profile=profile
+            qclust.derive_seed(config.master_seed, idx, 1), m, config, profile=profile
         )
         a = graph_core.threshold_graph(points, config.d_percentile)
+        method_seed = qclust.derive_seed(config.master_seed, idx, 2)
         for method in METHODS:
             row = BenchRow(dataset_id=idx, method=method)
             try:
-                clustering = _run_one(
-                    method, points, a, config, _derive_seed(config.master_seed, idx, 2)
-                )
+                clustering = _run_one(method, points, a, config, method_seed)
                 scores = metrics.compute_report(points, clustering, a)
                 row.silhouette = scores.silhouette
                 row.weighted_density = scores.weighted_density

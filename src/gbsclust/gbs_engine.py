@@ -115,7 +115,12 @@ class GbsEncoding:
         if np.any((self.c * self.takagi.lam) ** 2 >= 1.0):
             raise InvalidInputError("rescaling violates c * lambda_max < 1")
         implied = _mean_photons(self.c, self.takagi.lam)
-        if abs(implied - self.n_mean) > CALIBRATION_ATOL:
+        # near the pole, c's neighbouring floats can be over ATOL photons apart
+        step = max(
+            abs(_mean_photons(np.nextafter(self.c, end), self.takagi.lam) - implied)
+            for end in (0.0, np.inf)
+        )
+        if abs(implied - self.n_mean) > max(CALIBRATION_ATOL, step):
             raise InvalidInputError(
                 f"c implies mean photons {implied!r}, expected {self.n_mean!r}"
             )

@@ -109,23 +109,19 @@ def build_adjacency(d: np.ndarray, d_tilde: float) -> np.ndarray:
     return a
 
 
-def threshold_graph(
-    points: PointSet, d_percentile: float, d_tilde: float | None = None
-) -> np.ndarray:
-    """Threshold graph of a point set.
+def threshold_graph(points: PointSet, d_percentile: float) -> np.ndarray:
+    """Threshold graph at the ``d_percentile`` percentile of pairwise distances.
 
-    The distance threshold is ``d_tilde`` when given, else the
-    ``d_percentile`` percentile of pairwise distances; ``d_percentile``
-    must lie strictly in (0, 1) either way.  A threshold at or below 0, as
-    when many points coincide, gives the edgeless graph.
+    ``d_percentile`` must lie strictly in (0, 1).  A threshold at or below 0,
+    as when many points coincide, gives the edgeless graph.  For a fixed
+    threshold, pass ``compute_distance_matrix(points)`` to ``build_adjacency``.
     """
     if not 0.0 < d_percentile < 1.0:
         raise InvalidInputError(
             f"d_percentile must lie strictly in (0, 1), got {d_percentile}"
         )
     d = compute_distance_matrix(points)
-    if d_tilde is None:
-        d_tilde = percentile(upper_triangle_values(d), d_percentile)
+    d_tilde = percentile(upper_triangle_values(d), d_percentile)
     if d_tilde <= 0:
         return np.zeros_like(d)
     return build_adjacency(d, d_tilde)

@@ -34,7 +34,6 @@ __all__ = [
 @dataclass
 class ClusterBreakdown:
     n: int
-    density: float
     delta_int: float
     delta_ext: float
 
@@ -62,7 +61,6 @@ class MetricsReport:
             "per_cluster": [
                 {
                     "n": b.n,
-                    "density": b.density,
                     "delta_int": b.delta_int,
                     "delta_ext": b.delta_ext,
                 }
@@ -114,9 +112,7 @@ def _breakdown(
         d_int = 1.0 if n_i == 1 else internal / (n_i * (n_i - 1) / 2.0)
         d_ext = 0.0 if n_i == m else external / (n_i * (m - n_i))
         total += n_i * d_int
-        breakdown.append(
-            ClusterBreakdown(n=n_i, density=d_int, delta_int=d_int, delta_ext=d_ext)
-        )
+        breakdown.append(ClusterBreakdown(n=n_i, delta_int=d_int, delta_ext=d_ext))
     deltas = [b.delta_int - b.delta_ext for b in breakdown]
     return breakdown, total / m, float(np.mean(deltas))
 

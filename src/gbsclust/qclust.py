@@ -26,6 +26,11 @@ The loop's fixed settings, for R remaining nodes:
   acceptance threshold is max(T_MIN, T0 * GAMMA**i);
 - ``MIN_REMAINING`` (3): extraction stops below this many nodes;
 - ``MAX_ROUNDS_PER_CLUSTER`` (50): the round budget of one extraction.
+
+Child seeds come from ``derive_seed(seed, *path)``, the first word of
+``SeedSequence([seed, *path])`` (of ``[*path]`` for a None seed): round r of
+a run draws with ``derive_seed(seed, r)``, and the benchmark derives its
+dataset, point and method seeds the same way.
 """
 
 from __future__ import annotations
@@ -37,12 +42,13 @@ import numpy as np
 
 from . import gbs_engine, graph_core
 from .errors import InvalidInputError
-from .gbs_engine import MODE_PNR, MODE_THRESHOLD, SampleBatch
+from .gbs_engine import MODE_PNR, SampleBatch
 
 __all__ = [
     "ClusterParams",
     "Clustering",
     "compute_threshold",
+    "derive_seed",
     "find_densest_candidate",
     "post_process",
     "gbs_cluster",
@@ -69,8 +75,7 @@ class ClusterParams:
     def __post_init__(self):
         if self.n_samples < 1:
             raise InvalidInputError("n_samples must be at least 1")
-        if self.mode not in (MODE_PNR, MODE_THRESHOLD):
-            raise InvalidInputError(f"unknown sampling mode {self.mode!r}")
+        gbs_engine.max_nodes(self.mode)  # rejects an unknown mode
 
 
 @dataclass
@@ -172,8 +177,9 @@ def post_process(
     return [sorted(c) for c in result if c]
 
 
-def _derive_round_seed(seed: int | None, round_index: int) -> int:
-    entropy = [round_index] if seed is None else [seed, round_index]
+def derive_seed(seed: int | None, *path: int) -> int:
+    """Child seed of ``seed`` at ``path``; a None seed uses the path alone."""
+    entropy = [*path] if seed is None else [seed, *path]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
@@ -215,7 +221,7 @@ def gbs_cluster(a: np.ndarray, params: ClusterParams | None = None) -> Clusterin
                 n_mean,
                 params.n_samples,
                 mode=params.mode,
-                seed=_derive_round_seed(params.seed, round_index),
+                seed=derive_seed(params.seed, round_index),
                 sampler=sampler,
             )
             round_index += 1

@@ -194,7 +194,8 @@ def test_criterion_07_clustering_ground_truth():
     all_exact = True
     for seed in range(10):
         result = qclust.gbs_cluster(
-            graph_core.threshold_graph(points, 0.35, 1.0), qclust.ClusterParams(seed=seed)
+            graph_core.build_adjacency(graph_core.compute_distance_matrix(points), 1.0),
+            qclust.ClusterParams(seed=seed),
         )
         ari = adjusted_rand_index(result.labels, truth)
         if ari != pytest.approx(1.0):
@@ -205,7 +206,8 @@ def test_criterion_07_clustering_ground_truth():
         [str(i) for i in range(8)], rng.uniform(0, 1000, size=(8, 2))
     )
     singletons = qclust.gbs_cluster(
-        graph_core.threshold_graph(scattered, 0.35, 1e-9), qclust.ClusterParams(seed=0)
+        graph_core.build_adjacency(graph_core.compute_distance_matrix(scattered), 1e-9),
+        qclust.ClusterParams(seed=0),
     )
     all_singleton = singletons.clusters == [[i] for i in range(8)]
     report(

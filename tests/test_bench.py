@@ -283,6 +283,14 @@ class TestCli:
                 indices = [int(tok) for tok in line.split()]
                 assert indices == sorted(indices)
 
+    def test_sample_near_the_pole(self, tmp_path):
+        graph_path = tmp_path / "k4.txt"
+        graph_path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        result = CliRunner().invoke(
+            cli_main, ["sample", "--graph", str(graph_path), "--n-mean", "10000"]
+        )
+        assert result.exit_code == 0, result.output
+
     def test_bench_exit_codes(self, tmp_path):
         runner = CliRunner()
         config_path = tmp_path / "bench.json"

@@ -38,6 +38,7 @@ from helpers import (
 )
 
 SINGLE_EDGE = graph_from_edges(2, [(0, 1)])
+K4 = graph_from_edges(4, list(itertools.combinations(range(4), 2)))
 
 
 def random_symmetric(rng, n):
@@ -149,6 +150,23 @@ class TestEncoding:
         factors = takagi(SINGLE_EDGE)
         with pytest.raises(InvalidInputError):
             GbsEncoding(takagi=factors, c=0.9, n_mean=1.0)
+
+    @pytest.mark.parametrize("n_mean", [1e4, 1e6, 1e12])
+    def test_target_near_the_pole_accepted(self, n_mean):
+        # adjacent floats of c here differ by more than CALIBRATION_ATOL photons
+        assert encode(K4, n_mean).n_mean == n_mean
+
+    @pytest.mark.parametrize("n_mean", [2.0, 1e6])
+    @pytest.mark.parametrize("factor", [1.0 - 1e-4, 1.0 + 1e-4])
+    def test_miscalibrated_c_rejected(self, n_mean, factor):
+        enc = encode(K4, n_mean)
+        with pytest.raises(InvalidInputError):
+            GbsEncoding(takagi=enc.takagi, c=enc.c * factor, n_mean=n_mean)
+
+    def test_target_beyond_the_bracket_rejected(self):
+        # c is capped at (1 - 1e-14) / lam_max, which gives K4 ~4.9e13 photons
+        with pytest.raises(InvalidInputError, match="mean photons"):
+            encode(K4, 1e15)
 
 
 class TestSubsetWeight:
@@ -269,6 +287,33 @@ class TestSample:
         assert set(mapped) == set(dist)
         for subset, p in dist.items():
             assert mapped[subset] == pytest.approx(p, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.integers(2, 10).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+                st.permutations(range(n)),
+            )
+        ),
+        n_mean=st.floats(0.1, 6.0),
+        mode=st.sampled_from([MODE_PNR, MODE_THRESHOLD]),
+    )
+    def test_relabelling_permutes_the_distribution(self, case, n_mean, mode):
+        # c comes from eigh of each matrix, so equal only up to rounding
+        bits, perm = case
+        assume(any(bits))
+        n = len(perm)
+        a = np.zeros((n, n))
+        a[np.triu_indices(n, 1)] = bits
+        a += a.T
+        perm = np.array(perm)
+        dist = subset_distribution(a, n_mean, mode=mode)
+        relabeled = subset_distribution(a[np.ix_(perm, perm)], n_mean, mode=mode)
+        # node i of the relabeled graph is node perm[i] of the original
+        mapped = {tuple(sorted(perm[list(s)])): p for s, p in relabeled.items()}
+        for subset in set(dist) | set(mapped):
+            assert abs(dist.get(subset, 0.0) - mapped.get(subset, 0.0)) <= 1e-12
 
     def test_small_fidelity(self):
         a = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])

@@ -120,12 +120,10 @@ class TestThresholdGraph:
         d = compute_distance_matrix(points)
         d_tilde = percentile(upper_triangle_values(d), 0.5)
         assert np.array_equal(threshold_graph(points, 0.5), build_adjacency(d, d_tilde))
-        assert np.array_equal(threshold_graph(points, 0.5, 2.5), build_adjacency(d, 2.5))
 
     def test_nonpositive_threshold_gives_edgeless_graph(self):
         points = pts((1, 1), (1, 1), (1, 1), (4, 4))
         assert np.array_equal(threshold_graph(points, 0.35), np.zeros((4, 4)))
-        assert np.array_equal(threshold_graph(points, 0.35, 0.0), np.zeros((4, 4)))
 
     @pytest.mark.parametrize("q", [0.0, 1.0])
     def test_percentile_outside_open_interval_rejected(self, q):

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from gbsclust.errors import InvalidInputError
 from gbsclust.gbs_engine import MODE_THRESHOLD, SampleBatch
-from gbsclust.graph_core import PointSet, threshold_graph
+from gbsclust.graph_core import (
+    PointSet,
+    build_adjacency,
+    compute_distance_matrix,
+    threshold_graph,
+)
 from gbsclust.metrics import cohesion, weighted_density
 from gbsclust.qclust import (
     T_MIN,
@@ -128,10 +133,16 @@ class TestClusteringType:
         assert c.labels.tolist() == [0, 1, 0]
 
 
+class TestClusterParams:
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(InvalidInputError, match="unknown sampling mode"):
+            ClusterParams(mode="bogus")
+
+
 class TestGbsCluster:
     def test_three_cliques_recovered_exactly(self):
         points = three_cliques_points()
-        a = threshold_graph(points, 0.35, 1.0)
+        a = build_adjacency(compute_distance_matrix(points), 1.0)
         params = ClusterParams(seed=11)
         result = gbs_cluster(a, params)
         expected = [list(range(0, 5)), list(range(5, 10)), list(range(10, 15))]
@@ -142,21 +153,21 @@ class TestGbsCluster:
         coords = rng.uniform(0, 100, size=(6, 2))
         points = PointSet([str(i) for i in range(6)], coords)
         # threshold below every pairwise distance leaves the graph empty
-        a = threshold_graph(points, 0.35, 1e-9)
+        a = build_adjacency(compute_distance_matrix(points), 1e-9)
         params = ClusterParams(seed=0)
         result = gbs_cluster(a, params)
         assert result.clusters == [[i] for i in range(6)]
 
     def test_two_close_points_form_one_cluster(self):
         points = PointSet(["a", "b"], np.array([[0.0, 0.0], [0.0, 0.1]]))
-        a = threshold_graph(points, 0.35, 1.0)
+        a = build_adjacency(compute_distance_matrix(points), 1.0)
         params = ClusterParams(seed=5)
         result = gbs_cluster(a, params)
         assert result.clusters == [[0, 1]]
 
     def test_deterministic_given_seed(self):
         points = three_cliques_points(seed=3)
-        a = threshold_graph(points, 0.35, 1.0)
+        a = build_adjacency(compute_distance_matrix(points), 1.0)
         params = ClusterParams(seed=42)
         r1 = gbs_cluster(a, params)
         r2 = gbs_cluster(a, params)
@@ -164,15 +175,11 @@ class TestGbsCluster:
 
     def test_full_partition_and_density_floor(self):
         points = three_cliques_points(seed=7)
-        a = threshold_graph(points, 0.35, 1.0)
+        a = build_adjacency(compute_distance_matrix(points), 1.0)
         params = ClusterParams(seed=1)
         result = gbs_cluster(a, params)
         assert sorted(n for c in result.clusters for n in c) == list(range(15))
-        from gbsclust.graph_core import (
-            build_adjacency,
-            compute_distance_matrix,
-            graph_density,
-        )
+        from gbsclust.graph_core import graph_density
 
         a = build_adjacency(compute_distance_matrix(points), 1.0)
         # the recovered cliques are complete, so their density clears t_min
@@ -193,12 +200,7 @@ class TestGbsCluster:
             truth.extend([gid] * size)
         points = PointSet([f"p{i}" for i in range(15)], np.array(coords))
 
-        from gbsclust.graph_core import (
-            build_adjacency,
-            compute_distance_matrix,
-            percentile,
-            upper_triangle_values,
-        )
+        from gbsclust.graph_core import percentile, upper_triangle_values
 
         d = compute_distance_matrix(points)
         d_tilde = percentile(upper_triangle_values(d), 0.35)
@@ -215,17 +217,20 @@ class TestGbsCluster:
 
     def test_method_tag_and_params_recorded(self):
         points = three_cliques_points(seed=4)
-        result = gbs_cluster(threshold_graph(points, 0.35, 1.0), ClusterParams(seed=2))
+        result = gbs_cluster(
+            build_adjacency(compute_distance_matrix(points), 1.0), ClusterParams(seed=2)
+        )
         assert result.method == "gbs"
         assert result.params["seed"] == 2
         assert result.n_points == 15
 
     def test_clique_fixture_scores_perfectly(self):
-        from gbsclust.graph_core import build_adjacency, compute_distance_matrix
         from gbsclust.metrics import cohesion, weighted_density
 
         points = three_cliques_points(seed=8)
-        result = gbs_cluster(threshold_graph(points, 0.35, 1.0), ClusterParams(seed=3))
+        result = gbs_cluster(
+            build_adjacency(compute_distance_matrix(points), 1.0), ClusterParams(seed=3)
+        )
         a = build_adjacency(compute_distance_matrix(points), 1.0)
         assert weighted_density(result, a) == 1.0
         assert cohesion(result, a) == 1.0
