@@ -9,7 +9,6 @@ from .errors import (
     InvalidInputError,
     NoSolutionError,
     NumericError,
-    UndefinedMetricError,
 )
 from .gbs_engine import (
     MODE_PNR,

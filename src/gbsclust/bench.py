@@ -195,7 +195,7 @@ def _blob_dataset(rng, m, config: BenchConfig) -> graph_core.PointSet:
                 rng.uniform(config.box_lon, config.box_lon + config.blob_box, n_blobs),
             ]
         )
-        gaps = np.sqrt(((centers[:, None] - centers[None]) ** 2).sum(-1))
+        gaps = graph_core.pairwise_distances(centers)
         if n_blobs == 1 or gaps[np.triu_indices(n_blobs, 1)].min() >= config.blob_separation:
             break
     assignment = np.arange(m) % n_blobs

@@ -21,9 +21,5 @@ class NoSolutionError(GbsClustError, ValueError):
     """Scaling calibration has no root (all singular values are zero)."""
 
 
-class UndefinedMetricError(GbsClustError, ValueError):
-    """A quality metric is undefined for the given clustering."""
-
-
 class NumericError(GbsClustError, ArithmeticError):
     """An internal numerical consistency check failed."""

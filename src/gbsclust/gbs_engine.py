@@ -13,9 +13,11 @@ S.  At the scales this package targets (M <= 26 nodes) a ``GraphSampler``
 enumerates every subset weight once and draws from the exact categorical
 distribution, which makes every downstream result reproducible from a seed.
 It keeps only the subsets of nonzero weight, with their cumulative weights
-in mask order.  In photon-counting mode Haf(A_S) is the product of the
-hafnians of S's parts in the connected components of A, so each component
-is swept on its own lattice and the parts are combined by outer product.
+in mask order.  Both weights factorize over the connected components of A:
+Haf(A_S) is the product of the hafnians of S's parts, and Tor(O_S) the
+product of their torontonians.  So each component is tabulated on its own
+lattice (a hafnian sweep, or a torontonian table at the c calibrated on the
+whole graph) and the parts are combined by outer product.
 Nothing is kept between calls: the weight table belongs to the sampler that
 built it.
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +71,9 @@ __all__ = [
 MODE_PNR = "pnr_postselected"
 MODE_THRESHOLD = "threshold"
 
-# exact subset enumeration bounds; threshold mode is tighter because every
-# subset needs a pair of determinants rather than one shared DP sweep
+# exact subset enumeration bounds, on the whole graph although the tables
+# are built per component; threshold mode is tighter because every subset
+# of a component needs a pair of determinants rather than one shared sweep
 PNR_MAX_NODES = 26
 THRESHOLD_MAX_NODES = 20
 
@@ -264,27 +268,28 @@ def _spread(local: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pnr_support(a: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of nonzero c^|S| Haf(A_S)^2, ascending, and those weights.
+def _product_support(
+    a: np.ndarray, table: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of nonzero products of per-component tables, ascending, and
+    those products.
 
-    Each connected component of two or more nodes gets one hafnian sweep;
-    isolated nodes only admit the empty part.  A subset's hafnian is the
-    product of its parts' hafnians, so the nonzero entries of the
-    components are combined by outer product (mask OR, hafnian product)
-    and sorted into mask order; |S| is the mask's popcount.  On a 0/1
-    adjacency every hafnian is an integer below 2^53, so the products are
-    exact and the weights equal those of one sweep over the whole graph.
+    ``table(sub)`` gives one value per subset mask of a component's induced
+    submatrix; each connected component of two or more nodes is tabulated
+    on its own, and isolated nodes only admit the empty part.  The nonzero
+    entries of the components are combined by outer product (mask OR,
+    value product) and sorted into mask order.
     """
     masks = np.zeros(1, dtype=np.int64)
-    weights = np.ones(1)
+    values = np.ones(1)
     parts = [nodes for nodes in graph_core.connected_components(a) if nodes.size > 1]
     for nodes in parts:
-        table = hafnian_all_subsets(a[np.ix_(nodes, nodes)])
-        local = np.flatnonzero(table)
-        hafs = table[local]
-        del table  # free the 2^k lattice before the combined arrays grow
+        full = table(a[np.ix_(nodes, nodes)])
+        local = np.flatnonzero(full)
+        part = full[local]
+        del full  # free the 2^k table before the combined arrays grow
         masks = (masks[:, None] | _spread(local, nodes)[None, :]).ravel()
-        weights = np.multiply.outer(weights, hafs).ravel()
+        values = np.multiply.outer(values, part).ravel()
     if len(parts) > 1:
         # masks < 2^26 and fewer than 2^32 entries: sort (mask, position) keys
         masks <<= 32
@@ -292,13 +297,8 @@ def _pnr_support(a: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
         masks.sort()
         order = masks & 0xFFFFFFFF
         masks >>= 32
-        weights = weights[order]
-    weights *= weights
-    weights *= (c ** np.arange(a.shape[0] + 1, dtype=float))[np.bitwise_count(masks)]
-    keep = weights > 0.0
-    if not keep.all():  # c^|S| underflowed
-        masks, weights = masks[keep], weights[keep]
-    return masks, weights
+        values = values[order]
+    return masks, values
 
 
 def _threshold_weights(a: np.ndarray, c: float) -> np.ndarray:
@@ -347,8 +347,9 @@ class GraphSampler:
     ``support``, encodes ``a`` for ``n_mean`` photons (c is calibrated on
     the whole graph) and enumerates the weight of every node subset,
     raising DegenerateGraphError when no subset carries mass (edgeless
-    graph); later draws cost O(n_samples log support).  Photon-counting
-    weights come from one hafnian sweep per connected component.  Only the
+    graph); later draws cost O(n_samples log support).  The weights come
+    from one table per connected component: a hafnian sweep in
+    photon-counting mode, a torontonian table in threshold mode.  Only the
     subsets of nonzero weight are stored, as ``(masks, cum)``; zero weights
     never move a cumulative sum, so a draw picks the same subset as it
     would from the full 2^M table.  The table lives exactly as long as the
@@ -375,11 +376,18 @@ class GraphSampler:
             raise DegenerateGraphError("graph has no edges, nothing to sample")
         c = encode(self.a, self.n_mean, self.mode).c
         if self.mode == MODE_PNR:
-            masks, weights = _pnr_support(self.a, c)
+            # on a 0/1 graph every hafnian is an integer below 2^53, so the
+            # products are exact and equal one sweep over the whole graph
+            masks, weights = _product_support(self.a, hafnian_all_subsets)
+            weights *= weights
+            weights *= (c ** np.arange(self.m + 1, dtype=float))[np.bitwise_count(masks)]
         else:
-            weights = _threshold_weights(self.a, c)
-            masks = np.flatnonzero(weights)
-            weights = weights[masks]
+            masks, weights = _product_support(
+                self.a, lambda sub: _threshold_weights(sub, c)
+            )
+        keep = weights > 0.0
+        if not keep.all():  # c^|S| or a product of small weights underflowed
+            masks, weights = masks[keep], weights[keep]
         if not masks.size:
             raise DegenerateGraphError("zero total sampling weight")
         return masks, np.cumsum(weights, out=weights)

@@ -17,6 +17,7 @@ from .errors import InvalidInputError
 
 __all__ = [
     "PointSet",
+    "pairwise_distances",
     "compute_distance_matrix",
     "upper_triangle_values",
     "percentile",
@@ -61,17 +62,24 @@ class PointSet:
         return self.coords.shape[0]
 
 
+def pairwise_distances(x: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of an (M, d) array.
+
+    Returns a symmetric (M, M) matrix with a zero diagonal.
+    """
+    diff = x[:, None, :] - x[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=-1))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
 def compute_distance_matrix(points: PointSet) -> np.ndarray:
     """Pairwise Euclidean distances on the raw coordinates.
 
     Returns a symmetric (M, M) matrix with a zero diagonal.  Coordinates are
     treated as plain numbers; no geodesic correction is applied.
     """
-    x = points.coords
-    diff = x[:, None, :] - x[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
-    np.fill_diagonal(d, 0.0)
-    return d
+    return pairwise_distances(points.coords)
 
 
 def upper_triangle_values(d: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ Everything here is deliberately written from scratch, without calling into
 the package, so the tests compare two genuinely different routes to the same
 value.  The exceptions are the earlier implementations kept verbatim as
 bit-identity references (``threshold_weights_by_combinations``,
-``kmeans_pp_init_all_centroids``, ``repair_empty_rescanning``,
-``kmeans_per_restart``); they raise the package's error types.
+``threshold_draws_whole_graph``, ``kmeans_pp_init_all_centroids``,
+``repair_empty_rescanning``, ``kmeans_per_restart``); they raise the
+package's error types.
 """
 
 from __future__ import annotations
@@ -244,6 +245,24 @@ def threshold_weights_by_combinations(a: np.ndarray, c: float) -> np.ndarray:
         raise NumericError(f"threshold weight went negative: {floor:.3e}")
     np.clip(w, 0.0, None, out=w)
     return w
+
+
+def threshold_draws_whole_graph(
+    a: np.ndarray, c: float, n_samples: int, seed: int
+) -> list[tuple[int, ...]]:
+    """Threshold-mode draws from one weight table of the whole graph.
+
+    The threshold route as it was before tables were built per connected
+    component: the whole-graph torontonian table (the route above, equal
+    to the package's table bit for bit), its nonzero masks in mask order,
+    their cumulative weights, and one inverse-CDF lookup per draw.
+    """
+    weights = threshold_weights_by_combinations(a, c)
+    masks = np.flatnonzero(weights)
+    cum = np.cumsum(weights[masks])
+    u = np.random.default_rng(seed).random(n_samples) * float(cum[-1])
+    picked = masks[np.searchsorted(cum, u, side="right")]
+    return [tuple(i for i in range(a.shape[0]) if (m >> i) & 1) for m in picked]
 
 
 def kmeans_pp_init_all_centroids(

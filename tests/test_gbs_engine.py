@@ -33,6 +33,7 @@ from helpers import (
     graph_from_edges,
     hafnian_bruteforce,
     pnr_support_masses,
+    threshold_draws_whole_graph,
     threshold_weights_by_combinations,
     total_variation_distance,
 )
@@ -427,6 +428,12 @@ def split_graphs(draw):
     groups = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     density = draw(st.floats(0.2, 0.9))
     seed = draw(st.integers(0, 2**32 - 1))
+    return split_graph(groups, density, seed)
+
+
+def split_graph(groups, density, seed):
+    """Random 0/1 graph with an edge only between nodes of the same group."""
+    n = len(groups)
     upper = np.random.default_rng(seed).random((n, n)) < density
     same = np.equal.outer(groups, groups)
     a = np.triu(upper & same, 1).astype(float)
@@ -442,6 +449,15 @@ def dense_support(a, n_mean):
     weights *= (encode(a, n_mean).c ** np.arange(n + 1, dtype=float))[sizes]
     masks = np.flatnonzero(weights)
     return masks, np.cumsum(weights)[masks], weights
+
+
+# split graphs, interleaved labels: 4+4, 5+4+isolated, 7+7, 3+3+3+3
+THRESHOLD_SPLIT_CASES = [
+    ([0, 1] * 4, 0.7, 1),
+    ([0, 1, 0, 2, 1, 0, 1, 0, 1, 0], 0.6, 2),
+    ([0, 1] * 7, 0.5, 7),
+    ([0, 1, 2, 3] * 3, 0.8, 4),
+]
 
 
 class TestSupport:
@@ -487,6 +503,74 @@ class TestSupport:
         dense_masks, dense_cum, _ = dense_support(a, 2.0)
         assert np.array_equal(masks, dense_masks)
         assert np.allclose(cum, dense_cum, rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(a=split_graphs(), n_mean=st.floats(0.1, 6.0))
+    def test_per_component_threshold_support_equals_whole_graph_table(self, a, n_mean):
+        assume(a.sum() > 0)
+        sampler = GraphSampler(a, n_mean, MODE_THRESHOLD)
+        masks, cum = sampler.support
+        table = np.zeros(1 << a.shape[0])
+        table[masks] = np.diff(cum, prepend=0.0)
+        whole = gbs_engine._threshold_weights(a, encode(a, n_mean, MODE_THRESHOLD).c)
+        assert np.allclose(table, whole, rtol=0.0, atol=1e-12 * sampler.total)
+
+    @pytest.mark.parametrize("groups, density, seed", THRESHOLD_SPLIT_CASES)
+    def test_threshold_draws_equal_whole_graph_route(self, groups, density, seed):
+        a = split_graph(groups, density, seed)
+        n_mean = 0.5 * a.shape[0]
+        sampler = GraphSampler(a, n_mean, MODE_THRESHOLD)
+        c = encode(a, n_mean, MODE_THRESHOLD).c
+        for draw_seed in (0, 1, 2, 3):
+            assert sampler.draw(256, draw_seed).samples == threshold_draws_whole_graph(
+                a, c, 256, draw_seed
+            )
+
+    def test_per_component_threshold_weights_are_more_accurate(self):
+        # one subset-sum transform per component sums at most 2^7 signed
+        # terms per subset, the whole graph's up to 2^14
+        mpmath = pytest.importorskip("mpmath")
+        groups = [0, 1] * 7
+        a = split_graph(groups, 0.5, 7)
+        c = encode(a, 7.0, MODE_THRESHOLD).c
+        with mpmath.workdps(40):
+            reference = np.ones(1 << 14, dtype=object)
+            for g in (0, 1):
+                nodes = [i for i in range(14) if groups[i] == g]
+                part = _torontonian_table_mp(mpmath, a[np.ix_(nodes, nodes)], c)
+                local = np.zeros(1 << 14, dtype=np.int64)
+                for bit, node in enumerate(nodes):
+                    local |= ((np.arange(1 << 14) >> node) & 1) << bit
+                reference *= np.array(part, dtype=object)[local]
+            reference = np.array([float(w) for w in reference])
+        masks, values = gbs_engine._product_support(
+            a, lambda sub: gbs_engine._threshold_weights(sub, c)
+        )
+        per_component = np.zeros(1 << 14)
+        per_component[masks] = values
+        whole = gbs_engine._threshold_weights(a, c)
+        per_component_err = np.abs(per_component - reference).max()
+        whole_err = np.abs(whole - reference).max()
+        assert per_component_err <= whole_err
+        assert per_component_err < 1e-14 * reference.sum()
+
+
+def _torontonian_table_mp(mpmath, a, c):
+    """Tor(O_S) for every subset mask of a small graph, in mpmath."""
+    n = a.shape[0]
+    b = mpmath.mpf(c) * mpmath.matrix(a.tolist())
+    h = [mpmath.mpf(1)]  # signed vacuum factors (-1)^|Z| / sqrt(det(I - O_Z))
+    for mask in range(1, 1 << n):
+        idx = [i for i in range(n) if (mask >> i) & 1]
+        sub = mpmath.matrix([[b[i, j] for j in idx] for i in idx])
+        eye = mpmath.eye(len(idx))
+        vacuum = 1 / mpmath.sqrt(mpmath.det(eye - sub) * mpmath.det(eye + sub))
+        h.append(vacuum * (-1) ** len(idx))
+    for bit in range(n):
+        for mask in range(1 << n):
+            if (mask >> bit) & 1:
+                h[mask] += h[mask ^ (1 << bit)]
+    return [w * (-1) ** bin(mask).count("1") for mask, w in enumerate(h)]
 
 
 @st.composite
