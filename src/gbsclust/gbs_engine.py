@@ -9,17 +9,19 @@ node subsets S of the encoded graph is
     threshold:         P(S) proportional to Tor(O_S),  O = [[0, cA], [cA, 0]]
 
 where A_S is the induced submatrix and O_S keeps the paired rows/columns of
-S.  At the scales this package targets (M <= 26 nodes) a ``GraphSampler``
-enumerates every subset weight once and draws from the exact categorical
-distribution, which makes every downstream result reproducible from a seed.
-It keeps only the subsets of nonzero weight, with their cumulative weights
-in mask order.  Both weights factorize over the connected components of A:
-Haf(A_S) is the product of the hafnians of S's parts, and Tor(O_S) the
-product of their torontonians.  So each component is tabulated on its own
-lattice (a hafnian sweep, or a torontonian table at the c calibrated on the
-whole graph) and the parts are combined by outer product.
-Nothing is kept between calls: the weight table belongs to the sampler that
-built it.
+S.  At the scales this package targets (connected components of at most 26
+nodes) a ``GraphSampler`` enumerates every subset weight once and draws from
+the exact categorical distribution, which makes every downstream result
+reproducible from a seed.  Both weights factorize over the connected
+components of A: Haf(A_S) is the product of the hafnians of S's parts, and
+Tor(O_S) the product of their torontonians.  So each component is tabulated
+on its own lattice (a hafnian sweep, or a torontonian table at the c
+calibrated on the whole graph), and the product over the whole graph is
+never formed: a draw fixes the graph's bits from the highest down, reading
+each bit's two halves off the owning component's cumulative weights, which
+is the inverse CDF of the whole graph in mask order.
+Nothing is kept between calls: the weight tables belong to the sampler that
+built them.
 
 ``probability_pnr`` evaluates the full photon-number-resolved probability of
 an arbitrary pattern (repetitions allowed) and exists as the oracle that
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,9 +72,9 @@ __all__ = [
 MODE_PNR = "pnr_postselected"
 MODE_THRESHOLD = "threshold"
 
-# exact subset enumeration bounds, on the whole graph although the tables
-# are built per component; threshold mode is tighter because every subset
-# of a component needs a pair of determinants rather than one shared sweep
+# exact subset enumeration bounds per connected component, whose table
+# holds 2^k weights; threshold mode is tighter because every subset of a
+# component needs a pair of determinants rather than one shared sweep
 PNR_MAX_NODES = 26
 THRESHOLD_MAX_NODES = 20
 
@@ -82,7 +83,7 @@ CALIBRATION_ATOL = 1e-9
 
 
 def max_nodes(mode: str) -> int:
-    """Largest graph the exact sampler enumerates in ``mode``."""
+    """Largest connected component the exact sampler enumerates in ``mode``."""
     if mode not in (MODE_PNR, MODE_THRESHOLD):
         raise InvalidInputError(f"unknown sampling mode {mode!r}")
     return PNR_MAX_NODES if mode == MODE_PNR else THRESHOLD_MAX_NODES
@@ -243,62 +244,21 @@ def subset_weight(a: np.ndarray, enc: GbsEncoding, subset) -> float:
 # exact subset distribution
 # ---------------------------------------------------------------------------
 
+def _bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """0/1 matrix whose row i holds the n low bits of masks[i], lowest first."""
+    return (masks[:, None] >> np.arange(n)) & 1
+
+
 def _members(masks: np.ndarray, n: int) -> np.ndarray:
     """Member nodes of every mask, ascending within each mask, masks in order."""
-    return np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1]
+    return np.nonzero(_bits(masks, n))[1]
 
 
-def _subsets(masks: np.ndarray, n: int) -> list[tuple[int, ...]]:
-    """Each mask's member nodes as an ascending tuple."""
-    nodes = _members(masks, n).tolist()
-    ends = np.cumsum(np.bitwise_count(masks)).tolist()
+def _subsets(hits: np.ndarray) -> list[tuple[int, ...]]:
+    """The columns set in each row of a 0/1 matrix, as an ascending tuple."""
+    nodes = np.nonzero(hits)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(hits, axis=1)).tolist()
     return [tuple(nodes[s:e]) for s, e in zip([0, *ends], ends)]
-
-
-def _spread(local: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Graph masks of component masks: local bit b becomes bit ``nodes[b]``."""
-    if nodes[-1] == nodes.size - 1:
-        return local  # nodes are 0..k-1, so local and graph masks agree
-    out = np.zeros_like(local)
-    for lo in range(0, nodes.size, 8):
-        lut = np.zeros(1, dtype=np.int64)
-        for node in nodes[lo:lo + 8]:
-            lut = np.concatenate([lut, lut | (1 << int(node))])
-        out |= lut[(local >> lo) & (lut.size - 1)]
-    return out
-
-
-def _product_support(
-    a: np.ndarray, table: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of nonzero products of per-component tables, ascending, and
-    those products.
-
-    ``table(sub)`` gives one value per subset mask of a component's induced
-    submatrix; each connected component of two or more nodes is tabulated
-    on its own, and isolated nodes only admit the empty part.  The nonzero
-    entries of the components are combined by outer product (mask OR,
-    value product) and sorted into mask order.
-    """
-    masks = np.zeros(1, dtype=np.int64)
-    values = np.ones(1)
-    parts = [nodes for nodes in graph_core.connected_components(a) if nodes.size > 1]
-    for nodes in parts:
-        full = table(a[np.ix_(nodes, nodes)])
-        local = np.flatnonzero(full)
-        part = full[local]
-        del full  # free the 2^k table before the combined arrays grow
-        masks = (masks[:, None] | _spread(local, nodes)[None, :]).ravel()
-        values = np.multiply.outer(values, part).ravel()
-    if len(parts) > 1:
-        # masks < 2^26 and fewer than 2^32 entries: sort (mask, position) keys
-        masks <<= 32
-        masks |= np.arange(masks.size)
-        masks.sort()
-        order = masks & 0xFFFFFFFF
-        masks >>= 32
-        values = values[order]
-    return masks, values
 
 
 def _threshold_weights(a: np.ndarray, c: float) -> np.ndarray:
@@ -342,60 +302,77 @@ def _threshold_weights(a: np.ndarray, c: float) -> np.ndarray:
 class GraphSampler:
     """Exact GBS sampler of one graph.
 
-    The constructor checks the mode and the enumeration bound (raising
-    CapacityError beyond it).  The first ``draw``, or the first read of
-    ``support``, encodes ``a`` for ``n_mean`` photons (c is calibrated on
-    the whole graph) and enumerates the weight of every node subset,
-    raising DegenerateGraphError when no subset carries mass (edgeless
-    graph); later draws cost O(n_samples log support).  The weights come
-    from one table per connected component: a hafnian sweep in
-    photon-counting mode, a torontonian table in threshold mode.  Only the
-    subsets of nonzero weight are stored, as ``(masks, cum)``; zero weights
-    never move a cumulative sum, so a draw picks the same subset as it
-    would from the full 2^M table.  The table lives exactly as long as the
-    sampler, so its owner decides how long the memory stays in use.
+    The constructor checks the mode and the enumeration bound of every
+    connected component, raising CapacityError before anything is
+    allocated.  The first ``draw``, or the first read of ``tables``, encodes
+    ``a`` for ``n_mean`` photons (c is calibrated on the whole graph) and
+    tabulates every component of two or more nodes, raising
+    DegenerateGraphError for an edgeless graph: a hafnian sweep in
+    photon-counting mode, a torontonian table in threshold mode.  Each
+    table is kept as the cumulative weights of the component's subsets in
+    local mask order (local bit b is node ``components[k][b]``); a zero
+    weight never moves a cumulative sum, so a draw picks the same subset as
+    it would from the nonzero weights alone.  Isolated nodes only admit the
+    empty part.  A draw costs O(n_samples * M * K) for K components and the
+    tables take the sum of their 2^k entries; the product over the whole
+    graph is never formed.  The tables live exactly as long as the sampler,
+    so its owner decides how long the memory stays in use.
     """
 
     def __init__(self, a: np.ndarray, n_mean: float, mode: str = MODE_PNR):
         self.a = _check_symmetric(a)
         self.m = self.a.shape[0]
         limit = max_nodes(mode)
-        if self.m > limit:
-            raise CapacityError(
-                f"{self.m} nodes exceeds the {mode} enumeration bound {limit}"
-            )
+        self.components = [
+            nodes for nodes in graph_core.connected_components(self.a) if nodes.size > 1
+        ]
+        for nodes in self.components:
+            if nodes.size > limit:
+                raise CapacityError(
+                    f"a connected component of {nodes.size} nodes exceeds the {mode} "
+                    f"enumeration bound {limit}; its table would need {8 << nodes.size} bytes"
+                )
+        # (component, local bit value, the other components), highest node first
+        count = len(self.components)
+        others = [[j for j in range(count) if j != k] for k in range(count)]
+        owners = sorted(
+            (node, k, b)
+            for k, nodes in enumerate(self.components)
+            for b, node in enumerate(nodes.tolist())
+        )
+        self._schedule = [(k, 1 << b, others[k]) for _, k, b in reversed(owners)]
         self.n_mean = n_mean
         self.mode = mode
 
     @functools.cached_property
-    def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """(masks, cum): the subsets of nonzero weight in mask order, and
-        their cumulative weights."""
+    def tables(self) -> list[np.ndarray]:
+        """Per component, the cumulative weights of its subsets in local
+        mask order."""
         if float(np.abs(self.a).sum()) == 0.0:
             # only the empty subset would carry mass, and calibration has no root
             raise DegenerateGraphError("graph has no edges, nothing to sample")
         c = encode(self.a, self.n_mean, self.mode).c
-        if self.mode == MODE_PNR:
-            # on a 0/1 graph every hafnian is an integer below 2^53, so the
-            # products are exact and equal one sweep over the whole graph
-            masks, weights = _product_support(self.a, hafnian_all_subsets)
-            weights *= weights
-            weights *= (c ** np.arange(self.m + 1, dtype=float))[np.bitwise_count(masks)]
-        else:
-            masks, weights = _product_support(
-                self.a, lambda sub: _threshold_weights(sub, c)
-            )
-        keep = weights > 0.0
-        if not keep.all():  # c^|S| or a product of small weights underflowed
-            masks, weights = masks[keep], weights[keep]
-        if not masks.size:
-            raise DegenerateGraphError("zero total sampling weight")
-        return masks, np.cumsum(weights, out=weights)
+        powers = c ** np.arange(self.m + 1, dtype=float)
+        tables = []
+        for nodes in self.components:
+            sub = self.a[np.ix_(nodes, nodes)]
+            if self.mode == MODE_PNR:
+                weights = hafnian_all_subsets(sub)
+                weights *= weights
+                # times c^|S| in aligned blocks, where |s + i| = |s| + |i|,
+                # so no block-sized index array is built
+                low = np.bitwise_count(np.arange(min(weights.size, 1 << 12)))
+                for s in range(0, weights.size, low.size):
+                    weights[s:s + low.size] *= powers[s.bit_count() + low]
+            else:
+                weights = _threshold_weights(sub, c)
+            tables.append(np.cumsum(weights, out=weights))
+        return tables
 
     @property
     def total(self) -> float:
         """Unnormalized mass of the whole subset lattice."""
-        return float(self.support[1][-1])
+        return math.prod((float(cum[-1]) for cum in self.tables), start=1.0)
 
     def draw(self, n_samples: int, seed: int | None = None) -> SampleBatch:
         """Draw ``n_samples`` node subsets, reproducibly for an integer seed."""
@@ -403,9 +380,47 @@ class GraphSampler:
             raise InvalidInputError("need at least one sample")
         rng = np.random.default_rng(seed)
         u = rng.random(n_samples) * self.total
-        masks, cum = self.support
-        picked = masks[np.searchsorted(cum, u, side="right")]
-        return SampleBatch(_subsets(picked, self.m), n_samples, seed, self.mode)
+        if len(self.tables) == 1:
+            picked = [np.searchsorted(self.tables[0], u, side="right")]
+        else:
+            picked = self._descend(u)
+        hits = np.zeros((n_samples, self.m), dtype=bool)
+        for nodes, local in zip(self.components, picked):
+            hits[:, nodes] = _bits(local, nodes.size)
+        return SampleBatch(_subsets(hits), n_samples, seed, self.mode)
+
+    def _descend(self, u: np.ndarray) -> list[np.ndarray]:
+        """Per component, the local masks of the subsets whose interval of
+        the whole graph's cumulative weight, in graph mask order, holds u.
+
+        Bits are fixed from the highest graph node down.  Each component
+        keeps the range of its local masks that agree with its bits fixed so
+        far, [lo, lo + 2 step) before its bit ``step``, with cumulative
+        weight ``base`` just before the range, ``top`` at its end, and
+        ``mass`` = top - base.  The range's bit-0 half ends at
+        cum[lo + step - 1]; its mass times the other components' masses is
+        the weight of the graph's remaining subsets with this bit 0.  Bit 1
+        is taken when u lies at or past that weight and bit 1's half has
+        mass, and u then drops by that weight.
+        """
+        u = u.copy()
+        lo = [np.zeros(u.size, dtype=np.int64) for _ in self.tables]
+        base = [np.zeros(u.size) for _ in self.tables]
+        top = [np.full(u.size, cum[-1]) for cum in self.tables]
+        mass = [t.copy() for t in top]
+        for k, step, others in self._schedule:
+            mid = self.tables[k][lo[k] + (step - 1)]
+            mass0 = mid - base[k]
+            for j in others:
+                mass0 *= mass[j]
+            one = u >= mass0
+            one &= top[k] > mid
+            u -= mass0 * one
+            lo[k] += step * one
+            np.copyto(base[k], mid, where=one)
+            top[k] = np.where(one, top[k], mid)
+            np.subtract(top[k], base[k], out=mass[k])
+        return lo
 
 
 def sample(
@@ -438,12 +453,23 @@ def subset_distribution(a: np.ndarray, n_mean: float, mode: str = MODE_PNR) -> d
     """Normalized subset probabilities, keyed by sorted node tuple.
 
     Exposed for tests and diagnostics; zero-probability subsets are omitted.
+    The component weights are multiplied out over the whole graph, so the
+    graph itself must lie within the enumeration bound.
     """
     sampler = GraphSampler(a, n_mean, mode)
-    masks, cum = sampler.support
-    weights = np.diff(cum, prepend=0.0)
-    subsets = _subsets(masks, sampler.m)
-    return {s: float(w / cum[-1]) for s, w in zip(subsets, weights) if w > 0.0}
+    limit = max_nodes(mode)
+    if sampler.m > limit:
+        raise CapacityError(f"{sampler.m} nodes exceeds the {mode} enumeration bound {limit}")
+    masks = np.zeros(1, dtype=np.int64)
+    weights = np.ones(1)
+    for nodes, cum in zip(sampler.components, sampler.tables):
+        part = np.diff(cum, prepend=0.0)
+        local = np.flatnonzero(part)
+        masks = (masks[:, None] | _bits(local, nodes.size) @ (1 << nodes)).ravel()
+        weights = np.multiply.outer(weights, part[local]).ravel()
+    subsets = _subsets(_bits(masks, sampler.m))
+    total = sampler.total
+    return {s: float(w / total) for s, w in zip(subsets, weights) if w > 0.0}
 
 
 def probability_pnr(a: np.ndarray, enc: GbsEncoding, pattern) -> float:

@@ -236,7 +236,7 @@ def gbs_cluster(a: np.ndarray, params: ClusterParams | None = None) -> Clusterin
             if stalled_rounds >= halving_patience and l_min > 2:
                 l_min = max(2, math.ceil(l_min / 2))
                 stalled_rounds = 0
-        del sampler  # the extraction is over, so is its 2^M weight table
+        del sampler  # the extraction is over, so are its weight tables
 
         if accepted is None:
             break  # budget exhausted with nothing dense enough; post-process

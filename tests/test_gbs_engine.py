@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -194,12 +195,26 @@ class TestSample:
             sample(np.zeros((3, 3)), 1.0, 10, seed=0)
 
     def test_capacity_bound(self):
-        a = graph_from_edges(27, [(0, 1)])
-        with pytest.raises(CapacityError):
-            sample(a, 1.0, 10, seed=0)
-        a = graph_from_edges(21, [(0, 1)])
-        with pytest.raises(CapacityError):
-            sample(a, 1.0, 10, mode=MODE_THRESHOLD, seed=0)
+        # the bound holds per connected component; a path is one component
+        path = [(i, i + 1) for i in range(26)]
+        with pytest.raises(CapacityError, match=r"27 nodes .* 1073741824 bytes"):
+            sample(graph_from_edges(27, path), 1.0, 10, seed=0)
+        with pytest.raises(CapacityError, match=r"21 nodes .* 16777216 bytes"):
+            sample(graph_from_edges(21, path[:20]), 1.0, 10, mode=MODE_THRESHOLD, seed=0)
+
+    @pytest.mark.parametrize("mode, size", [(MODE_PNR, 14), (MODE_THRESHOLD, 11)])
+    def test_split_graph_beyond_the_whole_graph_bound_samples(self, mode, size):
+        # two rings, on the even and on the odd nodes, each within the bound
+        n = 2 * size
+        a = graph_from_edges(n, [(i, (i + 2) % n) for i in range(n)])
+        assert n > gbs_engine.max_nodes(mode)
+        batch = sample(a, n / 4, 200, mode=mode, seed=5)
+        assert batch.samples == GraphSampler(a, n / 4, mode).draw(200, 5).samples
+        assert any(batch.samples)
+        if mode == MODE_PNR:  # each ring contributes an even part
+            assert all(sum(i % 2 for i in s) % 2 == 0 for s in batch.samples)
+        with pytest.raises(CapacityError):  # the oracle multiplies the rings out
+            subset_distribution(a, n / 4, mode)
 
     def test_single_edge_frequencies(self):
         batch = sample(SINGLE_EDGE, 1.0, 20000, seed=123)
@@ -431,6 +446,24 @@ def split_graphs(draw):
     return split_graph(groups, density, seed)
 
 
+@st.composite
+def connected_with_isolated(draw):
+    """0/1 graphs of up to 14 nodes with one connected component of two or
+    more nodes on interleaved labels; the other nodes are isolated."""
+    n = draw(st.integers(2, 14))
+    inside = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    nodes = [i for i in range(n) if inside[i]]
+    assume(len(nodes) >= 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.zeros((n, n))
+    for i in range(1, len(nodes)):  # a random spanning tree joins the members
+        j = nodes[int(rng.integers(i))]
+        a[nodes[i], j] = a[j, nodes[i]] = 1.0
+    extra = np.triu(rng.random((n, n)) < draw(st.floats(0.0, 0.8)), 1)
+    extra &= np.outer(inside, inside)
+    return np.maximum(a, extra + extra.T)
+
+
 def split_graph(groups, density, seed):
     """Random 0/1 graph with an edge only between nodes of the same group."""
     n = len(groups)
@@ -438,6 +471,25 @@ def split_graph(groups, density, seed):
     same = np.equal.outer(groups, groups)
     a = np.triu(upper & same, 1).astype(float)
     return a + a.T
+
+
+def product_table(a, components, tables):
+    """The whole graph's table over graph masks: per-component tables over
+    local masks, each gathered at its nodes' bits of every mask, multiplied;
+    a mask holding a node of no component (an isolated node) gets 0."""
+    masks = np.arange(1 << a.shape[0])
+    covered = sum(1 << int(node) for nodes in components for node in nodes)
+    product = np.where(masks & ~covered, 0.0, 1.0)
+    for nodes, table in zip(components, tables):
+        local = ((masks[:, None] >> nodes) & 1) @ (1 << np.arange(nodes.size))
+        product *= table[local]
+    return product
+
+
+def sampler_weights(sampler):
+    """The whole graph's weights as the sampler's component tables give them."""
+    parts = [np.diff(cum, prepend=0.0) for cum in sampler.tables]
+    return product_table(sampler.a, sampler.components, parts)
 
 
 def dense_support(a, n_mean):
@@ -466,13 +518,26 @@ class TestSupport:
     def test_per_component_support_equals_dense_route(self, a, n_mean):
         assume(a.sum() > 0)
         sampler = GraphSampler(a, n_mean)
-        masks, cum = sampler.support
-        dense_masks, dense_cum, weights = dense_support(a, n_mean)
-        assert np.array_equal(masks, dense_masks)
-        assert np.array_equal(cum, dense_cum)
-        # no zero-weight subset is stored, and none of nonzero weight is lost
-        assert np.all(weights[masks] > 0.0)
-        assert np.count_nonzero(weights) == masks.size
+        sweeps = []
+
+        def recording(sub):
+            table = hafnian_all_subsets(sub)
+            sweeps.append(table.copy())
+            return table
+
+        with mock.patch.object(gbs_engine, "hafnian_all_subsets", recording):
+            tables = sampler.tables
+        # one sweep per component, and multiplied out they are the dense sweep
+        assert len(sweeps) == len(sampler.components)
+        assert np.array_equal(
+            product_table(a, sampler.components, sweeps), hafnian_all_subsets(a)
+        )
+        # each table is its component's c^|S| Haf^2, accumulated in mask order
+        powers = encode(a, n_mean).c ** np.arange(a.shape[0] + 1, dtype=float)
+        for sweep, cum in zip(sweeps, tables):
+            sizes = np.bitwise_count(np.arange(sweep.size))
+            assert np.array_equal(cum, np.cumsum(sweep * sweep * powers[sizes]))
+        _, _, weights = dense_support(a, n_mean)
         full_cum = np.cumsum(weights)
         for seed in (0, 1, 2, 3):
             u = np.random.default_rng(seed).random(64) * full_cum[-1]
@@ -480,11 +545,40 @@ class TestSupport:
             expected = [tuple(i for i in range(a.shape[0]) if (m >> i) & 1) for m in picked]
             assert sampler.draw(64, seed).samples == expected
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(a=connected_with_isolated(), n_mean=st.floats(0.1, 6.0))
+    def test_one_component_draws_equal_dense_route_bit_for_bit(self, a, n_mean):
+        sampler = GraphSampler(a, n_mean)
+        assert len(sampler.components) == 1
+        masks, cum, _ = dense_support(a, n_mean)
+        assert sampler.total == cum[-1]
+        for seed in (0, 1, 2, 3):
+            u = np.random.default_rng(seed).random(64) * cum[-1]
+            picked = masks[np.searchsorted(cum, u, side="right")]
+            expected = [tuple(i for i in range(a.shape[0]) if (m >> i) & 1) for m in picked]
+            assert sampler.draw(64, seed).samples == expected
+
+    def test_descent_never_takes_a_massless_half(self):
+        # on path 0-1-2, once nodes 1 and 2 are in, node 0's bit-1 half
+        # {0, 1, 2} has no mass; u at or past the total passes every bit-0 mass
+        a = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        sampler = GraphSampler(a, 2.0)
+        weights = sampler_weights(sampler)
+        total = sampler.total
+        u = np.array([np.nextafter(total, 0.0), total, total * (1 + 1e-12), 2 * total])
+        picked = sampler._descend(u)
+        masks = sum(
+            ((local[:, None] >> np.arange(nodes.size)) & 1) @ (1 << nodes)
+            for nodes, local in zip(sampler.components, picked)
+        )
+        assert np.all(weights[masks] > 0.0)
+        assert masks.tolist() == [np.flatnonzero(weights)[-1]] * 4
+
     def test_threshold_support_skips_zero_weights_only(self):
         # a click pattern carries weight exactly when no clicked node is
         # isolated in the induced subgraph; node 4 is isolated outright
         a = graph_from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 0)])
-        masks, cum = GraphSampler(a, 1.5, MODE_THRESHOLD).support
+        weights = sampler_weights(GraphSampler(a, 1.5, MODE_THRESHOLD))
         expected = [
             mask for mask in range(1 << 5)
             if all(
@@ -492,26 +586,25 @@ class TestSupport:
                 for i in range(5) if (mask >> i) & 1
             )
         ]
-        assert masks.tolist() == expected
-        assert np.all(np.diff(cum) > 0.0)
+        assert np.flatnonzero(weights).tolist() == expected
+        assert np.all(weights >= 0.0)
 
     def test_weighted_components_factorize(self):
         a = np.zeros((6, 6))
         for (u, v), w in {(0, 3): 0.7, (3, 5): 1.3, (0, 5): 0.4, (1, 4): 2.1}.items():
             a[u, v] = a[v, u] = w
-        masks, cum = GraphSampler(a, 2.0).support
+        weights = sampler_weights(GraphSampler(a, 2.0))
+        masks = np.flatnonzero(weights)
         dense_masks, dense_cum, _ = dense_support(a, 2.0)
         assert np.array_equal(masks, dense_masks)
-        assert np.allclose(cum, dense_cum, rtol=1e-13, atol=0.0)
+        assert np.allclose(np.cumsum(weights[masks]), dense_cum, rtol=1e-13, atol=0.0)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(a=split_graphs(), n_mean=st.floats(0.1, 6.0))
     def test_per_component_threshold_support_equals_whole_graph_table(self, a, n_mean):
         assume(a.sum() > 0)
         sampler = GraphSampler(a, n_mean, MODE_THRESHOLD)
-        masks, cum = sampler.support
-        table = np.zeros(1 << a.shape[0])
-        table[masks] = np.diff(cum, prepend=0.0)
+        table = sampler_weights(sampler)
         whole = gbs_engine._threshold_weights(a, encode(a, n_mean, MODE_THRESHOLD).c)
         assert np.allclose(table, whole, rtol=0.0, atol=1e-12 * sampler.total)
 
@@ -543,11 +636,9 @@ class TestSupport:
                     local |= ((np.arange(1 << 14) >> node) & 1) << bit
                 reference *= np.array(part, dtype=object)[local]
             reference = np.array([float(w) for w in reference])
-        masks, values = gbs_engine._product_support(
-            a, lambda sub: gbs_engine._threshold_weights(sub, c)
-        )
-        per_component = np.zeros(1 << 14)
-        per_component[masks] = values
+        components = GraphSampler(a, 7.0, MODE_THRESHOLD).components
+        parts = [gbs_engine._threshold_weights(a[np.ix_(nodes, nodes)], c) for nodes in components]
+        per_component = product_table(a, components, parts)
         whole = gbs_engine._threshold_weights(a, c)
         per_component_err = np.abs(per_component - reference).max()
         whole_err = np.abs(whole - reference).max()
@@ -592,14 +683,14 @@ class TestMaskRoutes:
 
     def test_subsets_read_members_off_the_mask_bits(self):
         masks = np.array([0, 0b101, 0b110, 1 << 25, (1 << 26) - 1], dtype=np.int64)
-        assert gbs_engine._subsets(masks, 26) == [
+        assert gbs_engine._subsets(gbs_engine._bits(masks, 26)) == [
             (),
             (0, 2),
             (1, 2),
             (25,),
             tuple(range(26)),
         ]
-        assert gbs_engine._subsets(masks[:0], 26) == []
+        assert gbs_engine._subsets(gbs_engine._bits(masks[:0], 26)) == []
 
     @settings(max_examples=80, deadline=None)
     @given(threshold_couplings())
