@@ -67,10 +67,6 @@ def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return d2.argmin(axis=-1)  # argmin takes the lowest centroid index on ties
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    return _kmeans_pp_init_fits(x, k, [rng])[0]
-
-
 def _kmeans_pp_init_fits(
     x: np.ndarray, k: int, rngs: list[np.random.Generator]
 ) -> np.ndarray:
@@ -103,34 +99,25 @@ def _kmeans_pp_init_fits(
 
 def _repair_empty(
     x: np.ndarray, centroids: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Move the farthest point of the largest cluster into each empty one; a
-    donor always keeps a point, so the empty clusters are known up front."""
-    sizes = np.bincount(labels, minlength=centroids.shape[0])
-    empties = np.flatnonzero(sizes == 0)
-    for empty in empties:
-        donor = int(sizes.argmax())
-        members = np.nonzero(labels == donor)[0]
-        dist = ((x[members] - centroids[donor]) ** 2).sum(axis=1)
-        steal = int(members[dist.argmax()])
-        labels[steal] = empty
-        sizes[donor] -= 1
-        sizes[empty] += 1
-        centroids[empty] = x[steal]
-    return labels, empties.size > 0
-
-
-def _repair_empty_fits(
-    x: np.ndarray, centroids: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
-    """``_repair_empty`` in place on every fit that has an empty cluster;
-    returns which fits were repaired."""
+    """Move, in place, the farthest point of the largest cluster into each
+    empty cluster of every fit; returns which fits were repaired.  A donor
+    always keeps a point, so the empty clusters are known up front."""
     fits, k = centroids.shape[:2]
     cells = np.arange(fits)[:, None] * k + labels
     sizes = np.bincount(cells.ravel(), minlength=fits * k).reshape(fits, k)
     repaired = (sizes == 0).any(axis=1)
     for fit in np.flatnonzero(repaired):
-        _repair_empty(x, centroids[fit], labels[fit])
+        fit_sizes, fit_labels, fit_centroids = sizes[fit], labels[fit], centroids[fit]
+        for empty in np.flatnonzero(fit_sizes == 0):
+            donor = int(fit_sizes.argmax())
+            members = np.nonzero(fit_labels == donor)[0]
+            dist = ((x[members] - fit_centroids[donor]) ** 2).sum(axis=1)
+            steal = int(members[dist.argmax()])
+            fit_labels[steal] = empty
+            fit_sizes[donor] -= 1
+            fit_sizes[empty] += 1
+            fit_centroids[empty] = x[steal]
     return repaired
 
 
@@ -153,7 +140,7 @@ def kmeans(points: PointSet, k: int, seed: int | None = None) -> KMeansResult:
     ]
     centroids = _kmeans_pp_init_fits(x, k, rngs)
     labels = _assign(x, centroids)
-    _repair_empty_fits(x, centroids, labels)
+    _repair_empty(x, centroids, labels)
     inertia = np.full(N_RESTARTS, np.inf)
     active = np.arange(N_RESTARTS)
     for _ in range(MAX_LLOYD_ITERATIONS):
@@ -170,7 +157,7 @@ def kmeans(points: PointSet, k: int, seed: int | None = None) -> KMeansResult:
         fit_centroids = np.stack(sums, axis=-1) / counts[:, None]
         fit_centroids = fit_centroids.reshape(fits, k, dim)
         new_labels = _assign(x, fit_centroids)
-        repaired = _repair_empty_fits(x, fit_centroids, new_labels)
+        repaired = _repair_empty(x, fit_centroids, new_labels)
         diff = x - fit_centroids[np.arange(fits)[:, None], new_labels]
         fit_inertia = (diff**2).reshape(fits, -1).sum(axis=1)
         # Lloyd steps never increase inertia; repairs may, transiently

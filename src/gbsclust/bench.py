@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -83,8 +84,17 @@ class BenchConfig:
             raise InvalidInputError("need 1 <= blob_min <= blob_max")
         if self.blob_every < 1:
             raise InvalidInputError("blob_every must be at least 1")
-        self.strip_spacing_short = tuple(self.strip_spacing_short)
-        self.strip_spacing_long = tuple(self.strip_spacing_long)
+        for name in ("strip_spacing_short", "strip_spacing_long"):
+            bounds = getattr(self, name)
+            numbers = isinstance(bounds, (list, tuple)) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in bounds
+            )
+            if not (numbers and len(bounds) == 2 and 0 < bounds[0] <= bounds[1] < math.inf):
+                raise InvalidInputError(
+                    f"{name} must be two finite positive numbers, low <= high; "
+                    f"got {bounds!r}"
+                )
+            setattr(self, name, tuple(bounds))
         if self.blob_box <= 0 or self.strip_box <= 0 or self.jitter_sigma <= 0:
             raise InvalidInputError("degenerate bounding box or jitter")
 

@@ -307,13 +307,14 @@ class GraphSampler:
     allocated.  The first ``draw``, or the first read of ``tables``, encodes
     ``a`` for ``n_mean`` photons (c is calibrated on the whole graph) and
     tabulates every component of two or more nodes, raising
-    DegenerateGraphError for an edgeless graph: a hafnian sweep in
+    DegenerateGraphError for an all-zero matrix: a hafnian sweep in
     photon-counting mode, a torontonian table in threshold mode.  Each
     table is kept as the cumulative weights of the component's subsets in
     local mask order (local bit b is node ``components[k][b]``); a zero
     weight never moves a cumulative sum, so a draw picks the same subset as
-    it would from the nonzero weights alone.  Isolated nodes only admit the
-    empty part.  A draw costs O(n_samples * M * K) for K components and the
+    it would from the nonzero weights alone.  A lone node is tabulated only
+    in threshold mode and only with a self-loop; any other lone node is
+    never drawn.  A draw costs O(n_samples * M * K) for K components and the
     tables take the sum of their 2^k entries; the product over the whole
     graph is never formed.  The tables live exactly as long as the sampler,
     so its owner decides how long the memory stays in use.
@@ -323,8 +324,11 @@ class GraphSampler:
         self.a = _check_symmetric(a)
         self.m = self.a.shape[0]
         limit = max_nodes(mode)
+        # a lone node's hafnian is 0, but a self-loop gives it a torontonian
         self.components = [
-            nodes for nodes in graph_core.connected_components(self.a) if nodes.size > 1
+            nodes
+            for nodes in graph_core.connected_components(self.a)
+            if nodes.size > 1 or (mode == MODE_THRESHOLD and self.a[nodes[0], nodes[0]])
         ]
         for nodes in self.components:
             if nodes.size > limit:

@@ -120,18 +120,25 @@ def build_adjacency(d: np.ndarray, d_tilde: float) -> np.ndarray:
 def threshold_graph(points: PointSet, d_percentile: float) -> np.ndarray:
     """Threshold graph at the ``d_percentile`` percentile of pairwise distances.
 
-    ``d_percentile`` must lie strictly in (0, 1).  A threshold at or below 0,
-    as when many points coincide, gives the edgeless graph.  For a fixed
-    threshold, pass ``compute_distance_matrix(points)`` to ``build_adjacency``.
+    ``d_percentile`` must lie strictly in (0, 1).  When so many points
+    coincide that the percentile is a distance of 0, no pair lies strictly
+    closer, and InvalidInputError names the pairs at distance 0 instead of
+    returning the edgeless graph.  For a fixed threshold, pass
+    ``compute_distance_matrix(points)`` to ``build_adjacency``.
     """
     if not 0.0 < d_percentile < 1.0:
         raise InvalidInputError(
             f"d_percentile must lie strictly in (0, 1), got {d_percentile}"
         )
     d = compute_distance_matrix(points)
-    d_tilde = percentile(upper_triangle_values(d), d_percentile)
+    values = upper_triangle_values(d)
+    d_tilde = percentile(values, d_percentile)
     if d_tilde <= 0:
-        return np.zeros_like(d)
+        raise InvalidInputError(
+            f"{np.count_nonzero(values == 0)} of {values.size} point pairs are at "
+            f"distance 0, so the threshold at d_percentile {d_percentile} is 0 and "
+            "connects no pair; use a larger d_percentile"
+        )
     return build_adjacency(d, d_tilde)
 
 

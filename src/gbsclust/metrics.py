@@ -22,7 +22,6 @@ from .graph_core import graph_density  # noqa: F401  (re-exported)
 from .qclust import Clustering
 
 __all__ = [
-    "ClusterBreakdown",
     "MetricsReport",
     "silhouette",
     "weighted_density",
@@ -32,18 +31,10 @@ __all__ = [
 
 
 @dataclass
-class ClusterBreakdown:
-    n: int
-    delta_int: float
-    delta_ext: float
-
-
-@dataclass
 class MetricsReport:
     silhouette: float
     weighted_density: float
     cohesion: float
-    per_cluster: list[ClusterBreakdown]
 
     def __post_init__(self):
         if not -1.0 - 1e-12 <= self.silhouette <= 1.0 + 1e-12:
@@ -52,21 +43,6 @@ class MetricsReport:
             raise AssertionError(f"weighted density out of range: {self.weighted_density}")
         if not -1.0 - 1e-12 <= self.cohesion <= 1.0 + 1e-12:
             raise AssertionError(f"cohesion out of range: {self.cohesion}")
-
-    def as_dict(self) -> dict:
-        return {
-            "silhouette": self.silhouette,
-            "weighted_density": self.weighted_density,
-            "cohesion": self.cohesion,
-            "per_cluster": [
-                {
-                    "n": b.n,
-                    "delta_int": b.delta_int,
-                    "delta_ext": b.delta_ext,
-                }
-                for b in self.per_cluster
-            ],
-        }
 
 
 def silhouette(points: PointSet, clustering: Clustering) -> float:
@@ -93,10 +69,8 @@ def silhouette(points: PointSet, clustering: Clustering) -> float:
     return float(scores.mean())
 
 
-def _breakdown(
-    clustering: Clustering, a: np.ndarray
-) -> tuple[list[ClusterBreakdown], float, float]:
-    """Per-cluster breakdown, plus the weighted density and cohesion read off it.
+def _breakdown(clustering: Clustering, a: np.ndarray) -> tuple[float, float]:
+    """Weighted density and cohesion of a clustering on the graph ``a``.
 
     ``a`` is the binary threshold graph, on which the cluster's subgraph
     density equals delta_int = edges_int / (n_i (n_i - 1) / 2), taken as 1
@@ -104,37 +78,35 @@ def _breakdown(
     cluster is the whole graph.
     """
     m = clustering.n_points
-    breakdown = []
     total = 0.0
+    deltas = []
     for cluster in clustering.clusters:
         n_i = len(cluster)
         internal, external = edge_counts(a, cluster)
         d_int = 1.0 if n_i == 1 else internal / (n_i * (n_i - 1) / 2.0)
         d_ext = 0.0 if n_i == m else external / (n_i * (m - n_i))
         total += n_i * d_int
-        breakdown.append(ClusterBreakdown(n=n_i, delta_int=d_int, delta_ext=d_ext))
-    deltas = [b.delta_int - b.delta_ext for b in breakdown]
-    return breakdown, total / m, float(np.mean(deltas))
+        deltas.append(d_int - d_ext)
+    return total / m, float(np.mean(deltas))
 
 
 def weighted_density(clustering: Clustering, a: np.ndarray) -> float:
     """Size-weighted mean of per-cluster densities; singletons count as 1."""
-    return _breakdown(clustering, a)[1]
+    return _breakdown(clustering, a)[0]
 
 
 def cohesion(clustering: Clustering, a: np.ndarray) -> float:
     """Mean over clusters of internal density minus external connectivity."""
-    return _breakdown(clustering, a)[2]
+    return _breakdown(clustering, a)[1]
 
 
 def compute_report(
     points: PointSet, clustering: Clustering, a: np.ndarray
 ) -> MetricsReport:
-    """All three scores plus the per-cluster breakdown, ranges asserted."""
-    breakdown, density, cohesion_score = _breakdown(clustering, a)
+    """All three scores, ranges asserted."""
+    density, cohesion_score = _breakdown(clustering, a)
     return MetricsReport(
         silhouette=silhouette(points, clustering),
         weighted_density=density,
         cohesion=cohesion_score,
-        per_cluster=breakdown,
     )

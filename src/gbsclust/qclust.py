@@ -107,11 +107,9 @@ class Clustering:
             out[cluster] = cid
         return out
 
-    def to_json_dict(self, points: graph_core.PointSet | None = None) -> dict:
-        if points is not None:
-            clusters = [[points.ids[i] for i in c] for c in self.clusters]
-        else:
-            clusters = [list(c) for c in self.clusters]
+    def to_json_dict(self, points: graph_core.PointSet) -> dict:
+        """The partition with each node named by its point id."""
+        clusters = [[points.ids[i] for i in c] for c in self.clusters]
         return {"method": self.method, "params": self.params, "clusters": clusters}
 
 
@@ -208,8 +206,8 @@ def gbs_cluster(a: np.ndarray, params: ClusterParams | None = None) -> Clusterin
         sub = graph_core.induced_subgraph(a, remaining)
         if sub.sum() == 0:
             break  # leftover graph has no edges, nothing left to sample
-        n_mean = max(N_MEAN_FACTOR * len(remaining), 1e-9)
-        l_min = max(1, math.ceil(L_FACTOR * len(remaining)))
+        n_mean = N_MEAN_FACTOR * len(remaining)
+        l_min = math.ceil(L_FACTOR * len(remaining))
         sampler = gbs_engine.GraphSampler(sub, n_mean, params.mode)
 
         accepted: tuple[int, ...] | None = None
@@ -240,9 +238,8 @@ def gbs_cluster(a: np.ndarray, params: ClusterParams | None = None) -> Clusterin
 
         if accepted is None:
             break  # budget exhausted with nothing dense enough; post-process
-        cluster_nodes = sorted(remaining[i] for i in accepted)
-        clusters.append(cluster_nodes)
-        remaining = [n for n in remaining if n not in set(cluster_nodes)]
+        clusters.append(sorted(remaining[i] for i in accepted))
+        remaining = [n for i, n in enumerate(remaining) if i not in accepted]
 
     final = post_process(remaining, clusters, a)
     return Clustering(

@@ -9,7 +9,7 @@ from gbsclust import baselines
 from gbsclust.baselines import (
     KMeansResult,
     _assign,
-    _kmeans_pp_init,
+    _kmeans_pp_init_fits,
     _repair_empty,
     dbscan,
     dbscan_with_postprocess,
@@ -213,7 +213,7 @@ class TestKMeansBitIdentity:
     def test_init_equals_recomputing_every_centroid(self, case):
         x, k, seed = case
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        centroids = _kmeans_pp_init(x, k, rng_new)
+        centroids = _kmeans_pp_init_fits(x, k, [rng_new])[0]
         reference = kmeans_pp_init_all_centroids(x, k, rng_ref)
         assert np.array_equal(centroids, reference)
         assert np.array_equal(_assign(x, centroids), _assign(x, reference))
@@ -228,7 +228,9 @@ class TestKMeansBitIdentity:
         labels = used[rng.integers(used.size, size=x.shape[0])]
         centroids = rng.random((k, 2))
         got_centroids, ref_centroids = centroids.copy(), centroids.copy()
-        got_labels, got_flag = _repair_empty(x, got_centroids, labels.copy())
+        got_labels = labels[None].copy()
+        (got_flag,) = _repair_empty(x, got_centroids[None], got_labels)
+        got_labels = got_labels[0]
         ref_labels, ref_flag = repair_empty_rescanning(x, ref_centroids, labels.copy())
         assert np.array_equal(got_labels, ref_labels)
         assert np.array_equal(got_centroids, ref_centroids)
@@ -241,7 +243,9 @@ class TestKMeansBitIdentity:
         ref_labels, ref_flag = repair_empty_rescanning(
             x, centroids.copy(), labels.copy()
         )
-        got_labels, got_flag = _repair_empty(x, centroids.copy(), labels.copy())
+        got_labels = labels[None].copy()
+        (got_flag,) = _repair_empty(x, centroids[None].copy(), got_labels)
+        got_labels = got_labels[0]
         assert got_flag and ref_flag
         assert np.array_equal(got_labels, ref_labels)
         assert sorted(np.bincount(got_labels, minlength=5)) == [1, 1, 1, 1, 1]

@@ -92,6 +92,29 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             BenchConfig.from_json(path)
 
+    @pytest.mark.parametrize("field", ["strip_spacing_short", "strip_spacing_long"])
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            [0.002, 0.003, 0.004],
+            [0.002],
+            [0.003, 0.002],
+            [0.0, 0.003],
+            [-0.002, 0.003],
+            [0.002, float("nan")],
+            [0.002, float("inf")],
+            ["0.002", "0.003"],
+            0.002,
+        ],
+    )
+    def test_malformed_spacing_range_rejected(self, field, bounds):
+        with pytest.raises(InvalidInputError, match=field):
+            BenchConfig(dataset_count=1, **{field: bounds})
+
+    def test_spacing_range_kept_as_a_pair(self):
+        config = BenchConfig(strip_spacing_short=[0.002, 0.002])
+        assert config.strip_spacing_short == (0.002, 0.002)
+
 
 class TestRunBenchmark:
     def test_rows_and_summary(self):
@@ -338,6 +361,31 @@ class TestCliErrors:
         assert isinstance(result.exception, SystemExit)
         assert "Error: unparsable coordinate" in result.output
         assert "line 3" in result.output
+        assert "Traceback" not in result.output
+
+    def test_coincident_points(self, tmp_path):
+        rows = [f"p{i},0.1,0.2" for i in range(3)] + [f"q{i},0.5,0.5" for i in range(3)]
+        result = self.invoke(tmp_path, "id,lat,lon\n" + "\n".join(rows) + "\n", [])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == [
+            "Error: 6 of 15 point pairs are at distance 0, so the threshold at "
+            "d_percentile 0.35 is 0 and connects no pair; use a larger d_percentile"
+        ]
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "g.json").exists()
+
+    def test_malformed_spacing_range_in_bench_config(self, tmp_path):
+        config_path = tmp_path / "bench.json"
+        config_path.write_text(
+            json.dumps({"dataset_count": 1, "strip_spacing_short": [0.002, 0.003, 0.004]})
+        )
+        result = CliRunner().invoke(
+            cli_main, ["bench", "--config", str(config_path), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 1
+        assert "Error: strip_spacing_short must be two finite positive numbers" in result.output
         assert "Traceback" not in result.output
 
     def test_bench_failed_rows_keep_exit_code_one(self, tmp_path, monkeypatch):

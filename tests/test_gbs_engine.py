@@ -428,6 +428,28 @@ class TestThresholdMode:
         for subset, w in direct.items():
             assert dist[subset] == pytest.approx(w / total, rel=1e-9)
 
+    def test_self_looped_lone_node_keeps_its_weight(self):
+        # Tor of a lone node reads its diagonal, so its clicks carry weight
+        a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+        enc = encode(a, 1.0, mode=MODE_THRESHOLD)
+        direct = {
+            subset: subset_weight(a, enc, subset)
+            for r in range(4)
+            for subset in itertools.combinations(range(3), r)
+        }
+        total = sum(direct.values())
+        dist = subset_distribution(a, 1.0, mode=MODE_THRESHOLD)
+        assert set(dist) == {s for s, w in direct.items() if w > 0.0}
+        assert {(2,), (0, 1, 2)} <= set(dist)
+        for subset, w in direct.items():
+            assert dist.get(subset, 0.0) == pytest.approx(w / total, rel=1e-12)
+
+    def test_self_looped_lone_node_never_drawn_photon_counting(self):
+        a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+        sampler = GraphSampler(a, 1.0)
+        assert [nodes.tolist() for nodes in sampler.components] == [[0, 1]]
+        assert set(sampler.draw(200, seed=4).samples) == {(), (0, 1)}
+
     def test_threshold_samples_allow_odd_subsets(self):
         a = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
         batch = sample(a, 1.5, 2000, mode=MODE_THRESHOLD, seed=3)

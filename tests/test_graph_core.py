@@ -121,9 +121,17 @@ class TestThresholdGraph:
         d_tilde = percentile(upper_triangle_values(d), 0.5)
         assert np.array_equal(threshold_graph(points, 0.5), build_adjacency(d, d_tilde))
 
-    def test_nonpositive_threshold_gives_edgeless_graph(self):
+    def test_zero_threshold_rejected(self):
         points = pts((1, 1), (1, 1), (1, 1), (4, 4))
-        assert np.array_equal(threshold_graph(points, 0.35), np.zeros((4, 4)))
+        with pytest.raises(InvalidInputError, match="3 of 6 point pairs are at distance 0"):
+            threshold_graph(points, 0.35)
+
+    def test_two_coincident_groups_rejected(self):
+        points = pts(*[(0, 0)] * 3, *[(5, 5)] * 3)
+        with pytest.raises(InvalidInputError, match="use a larger d_percentile"):
+            threshold_graph(points, 0.35)
+        # past the coincident pairs the threshold is positive again
+        assert threshold_graph(points, 0.5).sum() == 12
 
     @pytest.mark.parametrize("q", [0.0, 1.0])
     def test_percentile_outside_open_interval_rejected(self, q):

@@ -1,11 +1,11 @@
 """The package names the benchmark harness relies on.
 
 ``perfbench/tracer.py`` wraps the functions listed in its ``WRAP_POINTS``
-by module attribute, and ``perfbench/child.py`` wraps
-``metrics.compute_report`` with a ``(points, clustering, a)`` signature.
-A rename or a signature change in the package would break the benchmark
-without failing any other test, so both are checked here.  The tracer is
-read as source, not imported.
+by module attribute, and its hooks read some arguments by position;
+``perfbench/child.py`` wraps ``metrics.compute_report`` with a
+``(points, clustering, a)`` signature.  A rename or a signature change in
+the package would break the benchmark without failing any other test, so
+all three are checked here.  The tracer is read as source, not imported.
 """
 
 import ast
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from gbsclust import metrics
+from gbsclust import bench, gbs_engine, metrics, qclust
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,3 +43,29 @@ def test_wrap_point_is_a_callable_attribute(modname, attr):
 
 def test_compute_report_takes_points_clustering_and_graph():
     inspect.signature(metrics.compute_report).bind(1, 2, 3)
+
+
+def parameters(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_sample_starts_with_graph_and_photon_target_and_takes_mode():
+    # the tracer keys weight tables by args[0], args[1] and mode (or args[3])
+    params = parameters(gbs_engine.sample)
+    assert params[:2] == ["a", "n_mean"]
+    assert params[3] == "mode"
+
+
+def test_find_densest_candidate_takes_batch_graph_and_size_floor():
+    # the tracer counts passing samples from args[0].samples and args[2]
+    assert parameters(qclust.find_densest_candidate) == ["batch", "a", "l_min"]
+
+
+def test_post_process_takes_clusters_second():
+    # the tracer counts accepted clusters from args[1]
+    assert parameters(qclust.post_process)[1] == "clusters"
+
+
+def test_generate_dataset_takes_point_count_second():
+    # the tracer reads each dataset's size from args[1]
+    assert parameters(bench.generate_dataset)[1] == "m"

@@ -126,10 +126,7 @@ class TestReport:
         a = graph_from_edges(4, [(0, 1), (2, 3)])
         points = TIGHT_PAIRS
         report = compute_report(points, PAIRS_CLUSTERING, a)
-        payload = report.as_dict()
-        assert set(payload) == {"silhouette", "weighted_density", "cohesion", "per_cluster"}
-        assert len(payload["per_cluster"]) == 2
-        assert sum(b["n"] for b in payload["per_cluster"]) == 4
-        assert -1 <= payload["silhouette"] <= 1
-        assert 0 <= payload["weighted_density"] <= 1
-        assert -1 <= payload["cohesion"] <= 1
+        assert report.silhouette == silhouette(points, PAIRS_CLUSTERING)
+        assert report.weighted_density == weighted_density(PAIRS_CLUSTERING, a) == 1.0
+        assert report.cohesion == cohesion(PAIRS_CLUSTERING, a) == 1.0
+        assert -1 <= report.silhouette <= 1
