@@ -6,6 +6,9 @@ k-means uses k-means++ seeding, Lloyd iterations, empty-cluster repair by
 stealing the farthest point from the largest cluster, and keeps the best of
 10 restarts by inertia.  The restarts advance together as arrays, each with
 its own generator, and every fit is bit for bit the one it would be alone.
+The elbow seeds each dataset once, at k_max: k-means++ at k makes the
+draws of the first k steps at any larger k, so every k starts from a
+prefix of that one seeding and fits exactly as if it had seeded itself.
 DBSCAN uses brute-force neighbor scans with closed neighborhoods (a point
 counts itself), and its noise points can be folded back into clusters with
 the same connectivity-ratio post-processing the GBS driver uses.
@@ -121,24 +124,44 @@ def _repair_empty(
     return repaired
 
 
-def kmeans(points: PointSet, k: int, seed: int | None = None) -> KMeansResult:
+def _restart_rngs(seed: int | None) -> list[np.random.Generator]:
+    """One generator per restart, restart r drawing from ``[seed, r]``."""
+    return [
+        np.random.default_rng(np.random.SeedSequence([0 if seed is None else seed, r]))
+        for r in range(N_RESTARTS)
+    ]
+
+
+def kmeans(
+    points: PointSet,
+    k: int,
+    seed: int | None = None,
+    *,
+    seeding: np.ndarray | None = None,
+) -> KMeansResult:
     """Lloyd's k-means with k-means++ seeding, best of 10 restarts.
 
     Iterates until assignments stop changing or 300 rounds; empty clusters
     are repaired by stealing the farthest point from the largest cluster.
     The restarts advance together as arrays; each keeps its own generator
     and drops out once its labels stop changing, so every fit is the one
-    it would be if run alone.
+    it would be if run alone.  ``seeding``, an ``(N_RESTARTS, >= k, dim)``
+    k-means++ seeding from ``seed``'s generators, replaces the fit's own:
+    its first k centroids per restart are the ones seeding at k would pick.
     """
     x = points.coords
     m, dim = x.shape
     if not 1 <= k <= m:
         raise InvalidInputError(f"k must be in [1, {m}], got {k}")
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence([0 if seed is None else seed, r]))
-        for r in range(N_RESTARTS)
-    ]
-    centroids = _kmeans_pp_init_fits(x, k, rngs)
+    if seeding is None:
+        centroids = _kmeans_pp_init_fits(x, k, _restart_rngs(seed))
+    else:
+        shape = seeding.shape
+        if len(shape) != 3 or shape[0] != N_RESTARTS or shape[1] < k or shape[2] != dim:
+            raise InvalidInputError(
+                f"seeding must have shape ({N_RESTARTS}, >= {k}, {dim}), got {shape}"
+            )
+        centroids = seeding[:, :k].copy()  # repairs write centroids in place
     labels = _assign(x, centroids)
     _repair_empty(x, centroids, labels)
     inertia = np.full(N_RESTARTS, np.inf)
@@ -180,14 +203,19 @@ def elbow_select_k(
 
     Fits k = 1..k_max and returns the fit at the interior k where the
     improvement flattens the most, i.e. the largest second difference of
-    the inertia; ties go to the smaller k.
+    the inertia; ties go to the smaller k.  The restarts are seeded once,
+    at k_max, and each k starts from the first k centroids of that
+    seeding, which are the ones seeding at k would pick.
     """
     m = len(points)
     if k_max < 3:
         raise InvalidInputError("elbow selection needs k_max >= 3")
     if k_max > m:
         raise InvalidInputError(f"k_max must not exceed the point count {m}")
-    fits = {k: kmeans(points, k, seed=seed) for k in range(1, k_max + 1)}
+    seeding = _kmeans_pp_init_fits(points.coords, k_max, _restart_rngs(seed))
+    fits = {
+        k: kmeans(points, k, seed=seed, seeding=seeding) for k in range(1, k_max + 1)
+    }
     best_k, best_curve = None, -np.inf
     for k in range(2, k_max):
         curve = fits[k - 1].inertia - 2.0 * fits[k].inertia + fits[k + 1].inertia

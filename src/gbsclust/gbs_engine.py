@@ -267,7 +267,9 @@ def _threshold_weights(a: np.ndarray, c: float) -> np.ndarray:
     Uses det(I - O_Z) = det(I - B_Z) det(I + B_Z) for the paired coupling
     block of B = cA, then a signed subset-sum (Moebius) transform turns the
     per-subset vacuum factors into inclusion-exclusion weights.  B_Z takes
-    its rows and columns, ascending, from the bits of Z's mask.
+    its rows and columns, ascending, from the bits of Z's mask.  Subsets of
+    size k go through the determinants in chunks of 2^20 / k^2 masks, so
+    each (chunk, k, k) stack holds about 8 MB whatever k is.
     """
     n = a.shape[0]
     b = c * a
@@ -277,8 +279,9 @@ def _threshold_weights(a: np.ndarray, c: float) -> np.ndarray:
     for k in range(1, n + 1):
         masks = np.flatnonzero(pc == k)
         eye = np.eye(k)
-        for s in range(0, masks.size, 65536):
-            chunk = masks[s:s + 65536]
+        step = max(1, (1 << 20) // (k * k))
+        for s in range(0, masks.size, step):
+            chunk = masks[s:s + step]
             idx = _members(chunk, n).reshape(-1, k)
             sub = b[idx[:, :, None], idx[:, None, :]]
             dets = np.linalg.det(eye - sub) * np.linalg.det(eye + sub)

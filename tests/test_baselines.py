@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gbsclust import baselines
@@ -11,6 +11,7 @@ from gbsclust.baselines import (
     _assign,
     _kmeans_pp_init_fits,
     _repair_empty,
+    _restart_rngs,
     dbscan,
     dbscan_with_postprocess,
     elbow_select_k,
@@ -258,7 +259,38 @@ class TestKMeansBitIdentity:
         assert result.inertia == float(((x - result.centroids[result.labels]) ** 2).sum())
 
 
-def _kmeans_one_restart_at_a_time(points, k, seed=None):
+class TestKMeansSeedingPrefix:
+    """One seeding at k_max serves every smaller k bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(points_with_duplicates())
+    @example((np.zeros((4, 2)), 4, 0))  # all points coincide: no draw after the first
+    def test_prefix_equals_seeding_at_k(self, case):
+        x, k_max, seed = case
+        seeding = _kmeans_pp_init_fits(x, k_max, _restart_rngs(seed))
+        for k in range(1, k_max + 1):
+            fresh = _kmeans_pp_init_fits(x, k, _restart_rngs(seed))
+            assert np.array_equal(seeding[:, :k], fresh)
+            got = kmeans(pts(x), k, seed, seeding=seeding)
+            ref = kmeans(pts(x), k, seed)
+            assert np.array_equal(got.centroids, ref.centroids)
+            assert np.array_equal(got.labels, ref.labels)
+            assert got.inertia == ref.inertia
+        # the fits wrote into copies, never into the shared seeding
+        assert np.array_equal(
+            seeding, _kmeans_pp_init_fits(x, k_max, _restart_rngs(seed))
+        )
+
+    def test_wrongly_shaped_seeding_rejected(self):
+        points = pts([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        seeding = _kmeans_pp_init_fits(points.coords, 3, _restart_rngs(0))
+        for bad in (seeding[:, :2], seeding[:5], seeding[..., :1], seeding[0]):
+            with pytest.raises(InvalidInputError, match="seeding"):
+                kmeans(points, 3, 0, seeding=bad)
+
+
+def _kmeans_one_restart_at_a_time(points, k, seed=None, *, seeding=None):
+    # ignores the elbow's shared seeding: the reference seeds every k afresh
     return KMeansResult(*kmeans_per_restart(points.coords, k, seed))
 
 

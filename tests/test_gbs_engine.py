@@ -724,8 +724,8 @@ class TestMaskRoutes:
         )
 
     def test_threshold_weights_equal_combination_route_across_chunks(self):
-        # 19 nodes is the smallest graph whose largest size class,
-        # C(19, 9) = 92378 subsets, spans two 65536-subset chunks
+        # chunks hold 2^20 / k^2 masks, so the largest size class of 19
+        # nodes, C(19, 9) = 92378 subsets, spans eight 12945-mask chunks
         rng = np.random.default_rng(19)
         a = np.triu(rng.random((19, 19)) < 0.3, 1).astype(float)
         a = a + a.T

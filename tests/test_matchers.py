@@ -60,6 +60,18 @@ class TestHafnian:
         with pytest.raises(InvalidInputError):
             hafnian_fast(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_symmetry_tolerance_and_nan(self):
+        near = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
+        assert hafnian(near) == 1.0
+        assert hafnian_fast(near) == 1.0
+        far = np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]])
+        nan = np.array([[0.0, np.nan], [np.nan, 0.0]])
+        for bad in (far, nan):
+            with pytest.raises(InvalidInputError, match="symmetric"):
+                hafnian(bad)
+            with pytest.raises(InvalidInputError, match="symmetric"):
+                hafnian_fast(bad)
+
     def test_fast_matches_enumeration_real_valued(self):
         rng = np.random.default_rng(42)
         for _ in range(40):
