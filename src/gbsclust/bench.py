@@ -15,7 +15,8 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -71,8 +72,29 @@ class BenchConfig:
     master_seed: int = 6
 
     def __post_init__(self):
-        if self.dataset_count < 1:
-            raise InvalidInputError("dataset_count must be at least 1")
+        # reject, never convert, so a config's report bytes cannot move
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = {"int": Integral, "float": Real}.get(f.type)
+            if kind and (
+                isinstance(value, bool)
+                or not isinstance(value, kind)
+                or (f.type == "float" and not math.isfinite(value))
+            ):
+                noun = "an integer" if f.type == "int" else "a finite number"
+                raise InvalidInputError(f"{f.name} must be {noun}, got {value!r}")
+        for name, low in (
+            ("dataset_count", 1),
+            ("blob_every", 1),
+            ("master_seed", 0),
+            ("gbs_samples", 1),
+            ("kmeans_k_max", 3),
+            ("dbscan_min_pts", 1),
+        ):
+            if getattr(self, name) < low:
+                raise InvalidInputError(f"{name} must be at least {low}")
+        if self.dbscan_eps <= 0:
+            raise InvalidInputError("dbscan_eps must be positive")
         if not 2 <= self.m_min <= self.m_max:
             raise InvalidInputError("need 2 <= m_min <= m_max")
         limit = max_nodes(self.gbs_mode)
@@ -82,8 +104,6 @@ class BenchConfig:
             )
         if not 1 <= self.blob_min <= self.blob_max:
             raise InvalidInputError("need 1 <= blob_min <= blob_max")
-        if self.blob_every < 1:
-            raise InvalidInputError("blob_every must be at least 1")
         for name in ("strip_spacing_short", "strip_spacing_long"):
             bounds = getattr(self, name)
             numbers = isinstance(bounds, (list, tuple)) and all(
@@ -101,7 +121,14 @@ class BenchConfig:
     @classmethod
     def from_json(cls, path) -> "BenchConfig":
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                raise InvalidInputError(f"config {path} is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise InvalidInputError(
+                f"config {path} must be a JSON object, got {type(raw).__name__}"
+            )
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:

@@ -62,7 +62,13 @@ def kmeans(input_path, k, k_max, seed, out_path):
     if k == "auto":
         result = baselines.elbow_select_k(points, min(k_max, len(points)), seed=seed)
     else:
-        result = baselines.kmeans(points, int(k), seed=seed)
+        try:
+            k = int(k)
+        except ValueError:
+            raise errors.InvalidInputError(
+                f"--k must be 'auto' or a positive integer, got {k!r}"
+            ) from None
+        result = baselines.kmeans(points, k, seed=seed)
     _write_clustering(result.to_clustering(), points, out_path)
 
 

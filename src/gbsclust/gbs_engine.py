@@ -142,13 +142,9 @@ class SampleBatch:
     """Node subsets drawn from the GBS distribution of one graph."""
 
     samples: list[tuple[int, ...]]
-    n: int
-    seed: int | None
     mode: str
 
     def __post_init__(self):
-        if len(self.samples) != self.n:
-            raise InvalidInputError("sample count does not match request")
         if self.mode == MODE_PNR and any(len(s) % 2 for s in self.samples):
             raise InvalidInputError("odd-size subset in pnr_postselected batch")
 
@@ -224,16 +220,14 @@ def subset_weight(a: np.ndarray, enc: GbsEncoding, subset) -> float:
     torontonian of the paired coupling block of cA restricted to S.
     """
     a = _check_symmetric(a)
-    idx = sorted(set(int(i) for i in subset))
-    if idx and (idx[0] < 0 or idx[-1] >= a.shape[0]):
-        raise InvalidInputError("subset index out of range")
+    idx = graph_core._subset_array(a, subset)
+    k = idx.size
     if enc.mode == MODE_PNR:
-        if len(idx) % 2:
+        if k % 2:
             return 0.0
-        haf = hafnian_fast(a[np.ix_(idx, idx)]) if idx else 1.0
-        return float(enc.c ** len(idx) * haf * haf)
+        haf = hafnian_fast(a[np.ix_(idx, idx)]) if k else 1.0
+        return float(enc.c ** k * haf * haf)
     b = enc.c * a[np.ix_(idx, idx)]
-    k = len(idx)
     o = np.zeros((2 * k, 2 * k))
     o[:k, k:] = b
     o[k:, :k] = b
@@ -249,11 +243,6 @@ def _bits(masks: np.ndarray, n: int) -> np.ndarray:
     return (masks[:, None] >> np.arange(n)) & 1
 
 
-def _members(masks: np.ndarray, n: int) -> np.ndarray:
-    """Member nodes of every mask, ascending within each mask, masks in order."""
-    return np.nonzero(_bits(masks, n))[1]
-
-
 def _subsets(hits: np.ndarray) -> list[tuple[int, ...]]:
     """The columns set in each row of a 0/1 matrix, as an ascending tuple."""
     nodes = np.nonzero(hits)[1].tolist()
@@ -265,8 +254,10 @@ def _threshold_weights(a: np.ndarray, c: float) -> np.ndarray:
     """Tor(O_S) for every subset mask, via batched determinants.
 
     Uses det(I - O_Z) = det(I - B_Z) det(I + B_Z) for the paired coupling
-    block of B = cA, then a signed subset-sum (Moebius) transform turns the
-    per-subset vacuum factors into inclusion-exclusion weights.  B_Z takes
+    block of B = cA to get every subset's vacuum factor z(Z), then runs
+    inclusion-exclusion as a subset-difference (Moebius) transform in place:
+    for each bit, the masks with the bit set subtract their partner without
+    it, leaving sum over Z in S of (-1)^|S - Z| z(Z) at mask S.  B_Z takes
     its rows and columns, ascending, from the bits of Z's mask.  Subsets of
     size k go through the determinants in chunks of 2^20 / k^2 masks, so
     each (chunk, k, k) stack holds about 8 MB whatever k is.
@@ -282,24 +273,21 @@ def _threshold_weights(a: np.ndarray, c: float) -> np.ndarray:
         step = max(1, (1 << 20) // (k * k))
         for s in range(0, masks.size, step):
             chunk = masks[s:s + step]
-            idx = _members(chunk, n).reshape(-1, k)
+            idx = np.nonzero(_bits(chunk, n))[1].reshape(-1, k)
             sub = b[idx[:, :, None], idx[:, None, :]]
             dets = np.linalg.det(eye - sub) * np.linalg.det(eye + sub)
             if np.any(dets <= 0.0):
                 raise InvalidInputError("threshold coupling is not physical")
             z[chunk] = 1.0 / np.sqrt(dets)
-    sign = np.where(pc % 2 == 0, 1.0, -1.0)
-    h = z * sign
     for bit in range(n):
-        view = h.reshape(-1, 2, 1 << bit)
-        view[:, 1, :] += view[:, 0, :]
-    w = h * sign
+        view = z.reshape(-1, 2, 1 << bit)
+        view[:, 1, :] -= view[:, 0, :]
     # inclusion-exclusion cancellation leaves float dust around zero
-    floor = float(w.min())
-    if floor < -1e-8 * max(1.0, float(w.max())):
+    floor = float(z.min())
+    if floor < -1e-8 * max(1.0, float(z.max())):
         raise NumericError(f"threshold weight went negative: {floor:.3e}")
-    np.clip(w, 0.0, None, out=w)
-    return w
+    np.clip(z, 0.0, None, out=z)
+    return z
 
 
 class GraphSampler:
@@ -394,7 +382,7 @@ class GraphSampler:
         hits = np.zeros((n_samples, self.m), dtype=bool)
         for nodes, local in zip(self.components, picked):
             hits[:, nodes] = _bits(local, nodes.size)
-        return SampleBatch(_subsets(hits), n_samples, seed, self.mode)
+        return SampleBatch(_subsets(hits), self.mode)
 
     def _descend(self, u: np.ndarray) -> list[np.ndarray]:
         """Per component, the local masks of the subsets whose interval of

@@ -271,18 +271,23 @@ def read_edge_list(path, n_nodes: int | None = None) -> np.ndarray:
     """Read a ``u v`` per line edge list into an adjacency matrix.
 
     Node count defaults to max index + 1; trailing isolated nodes need an
-    explicit ``n_nodes``.
+    explicit ``n_nodes``.  A line that is not two integers raises
+    InvalidInputError naming the path and the 1-based line.
     """
     edges: list[tuple[int, int]] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_num, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}, line {line_num}"
             parts = line.split()
             if len(parts) != 2:
-                raise InvalidInputError(f"malformed edge line {line!r}")
-            u, v = int(parts[0]), int(parts[1])
+                raise InvalidInputError(f"malformed edge line {line!r} in {where}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise InvalidInputError(f"non-integer node in {where}: {line!r}") from None
             if u < 0 or v < 0 or u == v:
                 raise InvalidInputError(f"bad edge ({u}, {v})")
             edges.append((u, v))

@@ -10,12 +10,12 @@ Accepted clusters leave the graph; when the leftover graph is too small or
 too sparse, the remaining nodes are attached to clusters by a
 connectivity-ratio rule, with fully disconnected nodes becoming singletons.
 
-Two stall guards keep the loop finite on awkward graphs.  If a third of the
-per-cluster round budget passes with no acceptance, the post-selection size
-L is halved (floor 2): in photon-counting mode only even-size subsets ever
-appear, so an odd minimum can silently exclude every dense candidate.  If a
-full budget of rounds passes without any acceptance, extraction stops and
-whatever is left goes straight to post-processing.
+Two stall guards keep the loop finite on awkward graphs.  After every third
+of the per-cluster round budget with no acceptance, the post-selection size
+L is halved while it exceeds 2: in photon-counting mode only even-size
+subsets ever appear, so an odd minimum can silently exclude every dense
+candidate.  If a full budget of rounds passes without any acceptance,
+extraction stops and whatever is left goes straight to post-processing.
 
 The loop's fixed settings, for R remaining nodes:
 
@@ -26,6 +26,7 @@ The loop's fixed settings, for R remaining nodes:
   acceptance threshold is max(T_MIN, T0 * GAMMA**i);
 - ``MIN_REMAINING`` (3): extraction stops below this many nodes;
 - ``MAX_ROUNDS_PER_CLUSTER`` (50): the round budget of one extraction.
+- ``HALVING_PATIENCE`` (16): L is halved after failed rounds 16, 32 and 48.
 
 Child seeds come from ``derive_seed(seed, *path)``, the first word of
 ``SeedSequence([seed, *path])`` (of ``[*path]`` for a None seed): round r of
@@ -62,6 +63,7 @@ GAMMA = 0.95
 T_MIN = 0.50
 MIN_REMAINING = 3
 MAX_ROUNDS_PER_CLUSTER = 50
+HALVING_PATIENCE = MAX_ROUNDS_PER_CLUSTER // 3
 
 
 @dataclass
@@ -122,8 +124,9 @@ def compute_threshold(i: int) -> float:
 
 def find_densest_candidate(
     batch: SampleBatch, a: np.ndarray, l_min: int
-) -> tuple[int, ...] | None:
-    """Densest post-selected subset of a batch, or None if all are too small.
+) -> tuple[tuple[int, ...], float] | None:
+    """Densest post-selected subset of a batch and its density, or None if
+    all are too small.
 
     Keeps subsets with at least ``l_min`` nodes; ranks by density, then by
     size, then by lexicographically smallest node list so the choice is
@@ -140,7 +143,7 @@ def find_densest_candidate(
         )
         if best is None or key < best:
             best = key
-    return best[2] if best is not None else None
+    return (best[2], -best[0]) if best is not None else None
 
 
 def post_process(
@@ -197,7 +200,6 @@ def gbs_cluster(a: np.ndarray, params: ClusterParams | None = None) -> Clusterin
     remaining = list(range(m_total))
     clusters: list[list[int]] = []
     round_index = 0
-    halving_patience = max(1, MAX_ROUNDS_PER_CLUSTER // 3)
     # a 2-point input must still reach the sampler, so the stop size never
     # exceeds the input size (and never drops below a samplable pair)
     stop_size = max(2, min(MIN_REMAINING, m_total))
@@ -211,9 +213,8 @@ def gbs_cluster(a: np.ndarray, params: ClusterParams | None = None) -> Clusterin
         sampler = gbs_engine.GraphSampler(sub, n_mean, params.mode)
 
         accepted: tuple[int, ...] | None = None
-        failed_rounds = 0
-        stalled_rounds = 0
-        for _ in range(MAX_ROUNDS_PER_CLUSTER):
+        # every round before an acceptance failed, so the index counts them
+        for failed in range(MAX_ROUNDS_PER_CLUSTER):
             batch = gbs_engine.sample(
                 sub,
                 n_mean,
@@ -224,16 +225,11 @@ def gbs_cluster(a: np.ndarray, params: ClusterParams | None = None) -> Clusterin
             )
             round_index += 1
             candidate = find_densest_candidate(batch, sub, l_min)
-            if candidate is not None:
-                t = compute_threshold(failed_rounds)
-                if graph_core.graph_density(sub, candidate) > t:
-                    accepted = candidate
-                    break
-            failed_rounds += 1
-            stalled_rounds += 1
-            if stalled_rounds >= halving_patience and l_min > 2:
-                l_min = max(2, math.ceil(l_min / 2))
-                stalled_rounds = 0
+            if candidate is not None and candidate[1] > compute_threshold(failed):
+                accepted = candidate[0]
+                break
+            if (failed + 1) % HALVING_PATIENCE == 0 and l_min > 2:
+                l_min = math.ceil(l_min / 2)
         del sampler  # the extraction is over, so are its weight tables
 
         if accepted is None:

@@ -111,6 +111,41 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match=field):
             BenchConfig(dataset_count=1, **{field: bounds})
 
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("m_min", "15", "must be an integer"),
+            ("dataset_count", 2.5, "must be an integer"),
+            ("gbs_samples", True, "must be an integer"),
+            ("box_lat", "45.0", "must be a finite number"),
+            ("d_percentile", False, "must be a finite number"),
+            ("jitter_sigma", float("inf"), "must be a finite number"),
+            ("master_seed", -1, "must be at least 0"),
+            ("gbs_samples", 0, "must be at least 1"),
+            ("kmeans_k_max", 2, "must be at least 3"),
+            ("dbscan_eps", float("nan"), "must be a finite number"),
+            ("dbscan_eps", 0.0, "must be positive"),
+            ("dbscan_min_pts", 0, "must be at least 1"),
+        ],
+    )
+    def test_bad_field_rejected_by_name(self, field, value, problem):
+        with pytest.raises(InvalidInputError, match=f"{field} {problem}"):
+            BenchConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [("{", "is not valid JSON"), ("[1, 2]", "must be a JSON object, got list")],
+        ids=["truncated", "array"],
+    )
+    def test_json_that_is_no_config_object_rejected(self, tmp_path, text, problem):
+        path = tmp_path / "bench.json"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=problem):
+            BenchConfig.from_json(path)
+
+    def test_integer_for_a_float_field_kept_as_given(self):
+        assert BenchConfig(box_lat=45).box_lat == 45
+
     def test_spacing_range_kept_as_a_pair(self):
         config = BenchConfig(strip_spacing_short=[0.002, 0.002])
         assert config.strip_spacing_short == (0.002, 0.002)
@@ -386,6 +421,50 @@ class TestCliErrors:
         )
         assert result.exit_code == 1
         assert "Error: strip_spacing_short must be two finite positive numbers" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"dataset_count": 1,', "is not valid JSON"),
+            ("[]", "must be a JSON object"),
+            ('{"m_min": "15"}', "m_min must be an integer, got '15'"),
+            ('{"master_seed": -1}', "master_seed must be at least 0"),
+        ],
+        ids=["truncated", "array", "string-count", "negative-seed"],
+    )
+    def test_bad_bench_config(self, tmp_path, text, message):
+        config_path = tmp_path / "bench.json"
+        config_path.write_text(text)
+        result = CliRunner().invoke(
+            cli_main, ["bench", "--config", str(config_path), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 1
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("k", ["abc", "2.5"])
+    def test_kmeans_k_neither_auto_nor_an_integer(self, tmp_path, k):
+        points_path = tmp_path / "points.csv"
+        points_path.write_text("id,lat,lon\np0,0.1,0.2\np1,0.2,0.3\np2,0.5,0.5\n")
+        result = CliRunner().invoke(
+            cli_main,
+            ["kmeans", "--input", str(points_path), "--k", k, "--out", str(tmp_path / "k.json")],
+        )
+        assert result.exit_code == 1
+        assert f"Error: --k must be 'auto' or a positive integer, got '{k}'" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", [["hafnian"], ["sample", "--n-mean", "1", "--graph"]])
+    @pytest.mark.parametrize("line", ["x 2", "0 1.5"])
+    def test_edge_list_with_a_non_integer_node(self, tmp_path, command, line):
+        graph_path = tmp_path / "g.txt"
+        graph_path.write_text(f"0 1\n{line}\n")
+        result = CliRunner().invoke(cli_main, command + [str(graph_path)])
+        assert result.exit_code == 1
+        assert "Error: non-integer node in" in result.output
+        assert "g.txt, line 2" in result.output
         assert "Traceback" not in result.output
 
     def test_bench_failed_rows_keep_exit_code_one(self, tmp_path, monkeypatch):

@@ -260,6 +260,13 @@ class TestFileFormats:
         path.write_text("0 1\n1 4\n2 3\n")
         assert np.array_equal(read_edge_list(path), a)
 
+    @pytest.mark.parametrize("line", ["x 2", "0 1.5"])
+    def test_edge_list_non_integer_node_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "graph.txt"
+        path.write_text(f"0 1\n\n{line}\n")
+        with pytest.raises(InvalidInputError, match=r"graph\.txt, line 3"):
+            read_edge_list(path)
+
     def test_edge_list_explicit_node_count(self, tmp_path):
         path = tmp_path / "graph.txt"
         path.write_text("0 1\n")

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbsclust import qclust
 from gbsclust.errors import InvalidInputError
 from gbsclust.gbs_engine import MODE_THRESHOLD, SampleBatch
 from gbsclust.graph_core import (
     PointSet,
     build_adjacency,
     compute_distance_matrix,
+    graph_density,
     threshold_graph,
 )
 from gbsclust.metrics import cohesion, weighted_density
@@ -37,12 +39,7 @@ def binary_graphs(draw, max_nodes=10):
 
 def batch_of(*subsets):
     # threshold mode, so mixed odd and even subset sizes are legal
-    return SampleBatch(
-        samples=[tuple(sorted(s)) for s in subsets],
-        n=len(subsets),
-        seed=0,
-        mode=MODE_THRESHOLD,
-    )
+    return SampleBatch(samples=[tuple(sorted(s)) for s in subsets], mode=MODE_THRESHOLD)
 
 
 def three_cliques_points(side=10.0, spread=0.1, size=5, seed=0):
@@ -73,17 +70,17 @@ class TestFindDensestCandidate:
             7, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (5, 6)]
         )
         batch = batch_of((0, 1, 2), (3, 4, 5, 6))
-        assert find_densest_candidate(batch, a, 3) == (0, 1, 2)
+        assert find_densest_candidate(batch, a, 3) == ((0, 1, 2), 1.0)
 
     def test_tie_broken_by_size(self):
         a = graph_from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5)])
         batch = batch_of((4, 5), (0, 1, 2, 3))
-        assert find_densest_candidate(batch, a, 2) == (0, 1, 2, 3)
+        assert find_densest_candidate(batch, a, 2) == ((0, 1, 2, 3), 1.0)
 
     def test_tie_broken_lexicographically(self):
         a = graph_from_edges(4, [(0, 1), (2, 3)])
         batch = batch_of((2, 3), (0, 1))
-        assert find_densest_candidate(batch, a, 2) == (0, 1)
+        assert find_densest_candidate(batch, a, 2) == ((0, 1), 1.0)
 
     def test_all_below_minimum_size(self):
         a = graph_from_edges(4, [(0, 1)])
@@ -179,8 +176,6 @@ class TestGbsCluster:
         params = ClusterParams(seed=1)
         result = gbs_cluster(a, params)
         assert sorted(n for c in result.clusters for n in c) == list(range(15))
-        from gbsclust.graph_core import graph_density
-
         a = build_adjacency(compute_distance_matrix(points), 1.0)
         # the recovered cliques are complete, so their density clears t_min
         for cluster in result.clusters:
@@ -234,6 +229,62 @@ class TestGbsCluster:
         a = build_adjacency(compute_distance_matrix(points), 1.0)
         assert weighted_density(result, a) == 1.0
         assert cohesion(result, a) == 1.0
+
+
+class TestDriverSchedule:
+    """The round budget, the L schedule and where the accepted density comes from."""
+
+    def record_l_min(self, monkeypatch, a):
+        seen = []
+
+        def nothing_dense(batch, sub, l_min):
+            seen.append(l_min)
+            return None
+
+        monkeypatch.setattr(qclust, "find_densest_candidate", nothing_dense)
+        result = gbs_cluster(a, ClusterParams(n_samples=1, seed=0))
+        assert result.clusters == [[i] for i in range(a.shape[0])]
+        return seen
+
+    def test_l_halves_after_failures_16_32_and_48(self, monkeypatch):
+        # twelve disjoint edges and a lone node: 25 nodes, L starts at 9
+        a = graph_from_edges(25, [(2 * i, 2 * i + 1) for i in range(12)])
+        seen = self.record_l_min(monkeypatch, a)
+        assert seen == [9] * 16 + [5] * 16 + [3] * 16 + [2] * 2
+
+    def test_l_of_one_is_never_raised_to_two(self, monkeypatch):
+        a = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        assert self.record_l_min(monkeypatch, a) == [1] * 50
+
+    def test_accepted_density_is_the_candidates_graph_density(self, monkeypatch):
+        found = []
+        densest = qclust.find_densest_candidate
+
+        def spy(batch, sub, l_min):
+            candidate = densest(batch, sub, l_min)
+            if candidate is not None:
+                found.append((sub, *candidate))
+            return candidate
+
+        monkeypatch.setattr(qclust, "find_densest_candidate", spy)
+        a = build_adjacency(compute_distance_matrix(three_cliques_points()), 1.0)
+        result = gbs_cluster(a, ClusterParams(seed=11))
+        assert len(result.clusters) == 3
+        assert found
+        for sub, subset, density in found:
+            assert density == graph_density(sub, subset)
+
+    def test_driver_accepts_on_the_returned_density(self, monkeypatch):
+        densest = qclust.find_densest_candidate
+
+        def sparse_looking(batch, sub, l_min):
+            candidate = densest(batch, sub, l_min)
+            return None if candidate is None else (candidate[0], 0.0)
+
+        monkeypatch.setattr(qclust, "find_densest_candidate", sparse_looking)
+        a = build_adjacency(compute_distance_matrix(three_cliques_points()), 1.0)
+        result = gbs_cluster(a, ClusterParams(seed=11))
+        assert result.clusters == [[i] for i in range(15)]
 
 
 class TestGbsClusterOnGraphs:
