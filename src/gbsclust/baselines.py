@@ -16,6 +16,7 @@ the same connectivity-ratio post-processing the GBS driver uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,8 +235,8 @@ def dbscan(points: PointSet, eps: float, min_pts: int) -> DbscanResult:
     them; anything unreachable is noise.  Distances come from
     ``graph_core.compute_distance_matrix``.
     """
-    if eps <= 0.0:
-        raise InvalidInputError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise InvalidInputError(f"eps must be finite and positive, got {eps}")
     if min_pts < 1:
         raise InvalidInputError("min_pts must be at least 1")
     m = len(points)

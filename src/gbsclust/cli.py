@@ -11,6 +11,9 @@ from . import baselines, bench, errors, gbs_engine, graph_core, matchers, qclust
 
 _MODES = {"pnr": gbs_engine.MODE_PNR, "threshold": gbs_engine.MODE_THRESHOLD}
 
+# numpy seeds every stream from a SeedSequence, which takes no negative entropy
+_seed_option = click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
+
 
 def _write_clustering(clustering: qclust.Clustering, points, out_path: str) -> None:
     payload = clustering.to_json_dict(points)
@@ -40,7 +43,7 @@ def main():
 @click.option("--d-percentile", default=0.35, show_default=True)
 @click.option("--samples", default=50, show_default=True)
 @click.option("--mode", type=click.Choice(sorted(_MODES)), default="pnr", show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@_seed_option
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cluster(input_path, d_percentile, samples, mode, seed, out_path):
     """Cluster a points CSV with the GBS driver."""
@@ -54,7 +57,7 @@ def cluster(input_path, d_percentile, samples, mode, seed, out_path):
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--k", default="auto", show_default=True, help="cluster count or 'auto' for elbow selection")
 @click.option("--k-max", default=8, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@_seed_option
 @click.option("--out", "out_path", required=True, type=click.Path())
 def kmeans(input_path, k, k_max, seed, out_path):
     """Cluster a points CSV with k-means."""
@@ -99,7 +102,7 @@ def hafnian(edge_list):
 @click.option("--n-mean", required=True, type=float)
 @click.option("--samples", "n_samples", default=50, show_default=True)
 @click.option("--mode", type=click.Choice(sorted(_MODES)), default="pnr", show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@_seed_option
 def sample(graph_path, n_mean, n_samples, mode, seed):
     """Draw subsets from the GBS distribution of an edge-list graph."""
     a = graph_core.read_edge_list(graph_path)
@@ -123,7 +126,7 @@ def bench_cmd(config_path, out_dir):
 
 
 @main.command()
-@click.option("--seed", default=0, show_default=True)
+@_seed_option
 @click.option("--m", "m", default=20, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def gen(seed, m, out_path):

@@ -78,6 +78,9 @@ MODE_THRESHOLD = "threshold"
 PNR_MAX_NODES = 26
 THRESHOLD_MAX_NODES = 20
 
+# entries per block of the photon-counting table build
+TABLE_BLOCK = 1 << 12
+
 RECONSTRUCTION_RTOL = 1e-10
 CALIBRATION_ATOL = 1e-9
 
@@ -353,15 +356,22 @@ class GraphSampler:
             sub = self.a[np.ix_(nodes, nodes)]
             if self.mode == MODE_PNR:
                 weights = hafnian_all_subsets(sub)
-                weights *= weights
-                # times c^|S| in aligned blocks, where |s + i| = |s| + |i|,
-                # so no block-sized index array is built
-                low = np.bitwise_count(np.arange(min(weights.size, 1 << 12)))
+                # square, times c^|S| and cumulative sum in one pass over
+                # aligned blocks, where |s + i| = |s| + |i|; the running
+                # total enters a block's first entry before its cumsum, so
+                # every sum adds in the order of one cumsum over the table
+                low = np.bitwise_count(np.arange(min(weights.size, TABLE_BLOCK)))
+                carry = 0.0
                 for s in range(0, weights.size, low.size):
-                    weights[s:s + low.size] *= powers[s.bit_count() + low]
+                    block = weights[s:s + low.size]
+                    block *= block
+                    block *= powers[s.bit_count() + low]
+                    block[0] += carry
+                    carry = np.cumsum(block, out=block)[-1]
             else:
                 weights = _threshold_weights(sub, c)
-            tables.append(np.cumsum(weights, out=weights))
+                np.cumsum(weights, out=weights)
+            tables.append(weights)
         return tables
 
     @property

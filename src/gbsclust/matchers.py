@@ -80,26 +80,34 @@ def hafnian_all_subsets(b: np.ndarray) -> np.ndarray:
 
     Returns an array ``t`` of length 2**n with ``t[mask]`` equal to the
     hafnian of ``b`` restricted to the index set encoded by ``mask``.
-    Entry (i, j) contributes to every mask whose lowest set bit is i, so
-    masks are filled in decreasing order of their lowest bit; odd-popcount
-    masks stay at zero.  Each (i, j) update is one strided add over a
-    reshaped view of the table, with no index arrays.  O(n * 2^n) time and
-    O(2^n) memory; the sampler calls it once per connected component.
+    Recurses on the highest set bit h of a mask S:
+    Haf(S) = sum over j in S, j < h of b[j, h] * Haf(S - {h, j}), with j
+    ascending.  The masks whose top bit is h form the block [2^h, 2^(h+1)),
+    filled from the finished masks below 2^h, and each (j, h) update adds
+    contiguous runs of 2^j entries, with no index arrays; odd-popcount masks
+    stay at zero.  O(n * 2^n) time and O(2^n) memory; the sampler calls it
+    once per connected component.
+
+    On a 0/1 matrix every entry is a perfect-matching count, at most
+    25!! < 2^53 for 26 nodes, so every partial sum is an exact integer and
+    any summation order gives the same bits.  On weighted input the order
+    matters: other orders of the same sum may differ in the last bits.
     """
     b = _check_symmetric(b)
     n = b.shape[0]
     table = np.zeros(1 << n)
     table[0] = 1.0
-    for i in range(n - 1, -1, -1):
-        for j in range(i + 1, n):
-            bij = b[i, j]
-            if bij == 0.0:
+    for h in range(1, n):
+        low = table[:1 << h]
+        block = table[1 << h:2 << h]
+        for j in range(h):
+            bjh = b[j, h]
+            if bjh == 0.0:
                 continue
-            # axes: bits above j, bit j, bits strictly between, bit i, bits below i
-            view = table.reshape(1 << (n - j - 1), 2, 1 << (j - i - 1), 2, 1 << i)
-            source = view[:, 0, :, 0, 0]
+            # the runs of 2^j masks without bit j feed the runs with it
+            source = low.reshape(-1, 2, 1 << j)[:, 0, :]
             # unit entries, all of a 0/1 adjacency, skip the product
-            view[:, 1, :, 1, 0] += source if bij == 1.0 else bij * source
+            block.reshape(-1, 2, 1 << j)[:, 1, :] += source if bjh == 1.0 else bjh * source
     return table
 
 

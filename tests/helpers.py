@@ -165,22 +165,22 @@ def graph_from_edges(n: int, edges) -> np.ndarray:
 def hafnian_table_loops(b: np.ndarray) -> np.ndarray:
     """Subset hafnian table by scalar loops, one mask at a time.
 
-    Follows the subset dynamic program's update order (row i descending,
-    column j ascending), so on any matrix its floats match a vectorized
-    sweep in that order bit for bit.
+    Follows the subset dynamic program's update order (top bit h
+    ascending, then partner j < h ascending, then source mask ascending),
+    so on any matrix its floats match a vectorized sweep in that order bit
+    for bit.
     """
     n = b.shape[0]
     table = [0.0] * (1 << n)
     table[0] = 1.0
-    for i in reversed(range(n)):
-        below = (1 << (i + 1)) - 1
-        for j in range(i + 1, n):
-            bij = float(b[i, j])
-            if bij == 0.0:
+    for h in range(1, n):
+        for j in range(h):
+            bjh = float(b[j, h])
+            if bjh == 0.0:
                 continue
-            for source in range(1 << n):
-                if source & below == 0 and not (source >> j) & 1:
-                    table[source | (1 << i) | (1 << j)] += bij * table[source]
+            for source in range(1 << h):
+                if not (source >> j) & 1:
+                    table[source | (1 << j) | (1 << h)] += bjh * table[source]
     return np.array(table)
 
 

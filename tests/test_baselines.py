@@ -163,6 +163,13 @@ class TestDbscan:
         with pytest.raises(InvalidInputError):
             dbscan(points, eps=1.0, min_pts=0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        # NaN fails every comparison, so a bare eps <= 0 check lets it through
+        points = pts([[0, 0], [1, 1]])
+        with pytest.raises(InvalidInputError, match="eps must be finite and positive"):
+            dbscan(points, eps=eps, min_pts=2)
+
 
 class TestDbscanWithPostprocess:
     def test_no_noise_is_identity(self):

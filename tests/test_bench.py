@@ -467,6 +467,41 @@ class TestCliErrors:
         assert "g.txt, line 2" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_dbscan_non_finite_eps(self, tmp_path, eps):
+        points_path = tmp_path / "points.csv"
+        points_path.write_text("id,lat,lon\np0,0.1,0.2\np1,0.2,0.3\np2,0.5,0.5\n")
+        out_path = tmp_path / "d.json"
+        result = CliRunner().invoke(
+            cli_main,
+            ["dbscan", "--input", str(points_path), "--eps", eps, "--out", str(out_path)],
+        )
+        assert result.exit_code == 1
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: eps must be finite and positive, got {eps}"]
+        assert "Traceback" not in result.output
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "sample", "cluster", "kmeans"])
+    def test_negative_seed_rejected_by_name(self, tmp_path, command):
+        points_path = tmp_path / "points.csv"
+        points_path.write_text("id,lat,lon\np0,0.1,0.2\np1,0.2,0.3\np2,0.5,0.5\n")
+        graph_path = tmp_path / "g.txt"
+        graph_path.write_text("0 1\n1 2\n")
+        out_path = tmp_path / "out"
+        args = {
+            "gen": ["--out", str(out_path)],
+            "sample": ["--graph", str(graph_path), "--n-mean", "1"],
+            "cluster": ["--input", str(points_path), "--out", str(out_path)],
+            "kmeans": ["--input", str(points_path), "--out", str(out_path)],
+        }[command]
+        result = CliRunner().invoke(cli_main, [command, *args, "--seed", "-1"])
+        assert result.exit_code == 2
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "'--seed'" in errors[0] and "-1" in errors[0]
+        assert "Traceback" not in result.output
+        assert not out_path.exists()
+
     def test_bench_failed_rows_keep_exit_code_one(self, tmp_path, monkeypatch):
         def too_big(a, params):
             raise CapacityError("too big")

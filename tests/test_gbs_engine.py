@@ -580,6 +580,25 @@ class TestSupport:
             expected = [tuple(i for i in range(a.shape[0]) if (m >> i) & 1) for m in picked]
             assert sampler.draw(64, seed).samples == expected
 
+    @pytest.mark.parametrize(
+        "groups",
+        [[0] * 17, [0, 1] * 6 + [0] * 10],
+        ids=["one 17-node component", "16 + 6 split"],
+    )
+    def test_blockwise_table_build_equals_three_passes(self, groups):
+        # a 16-node component's table spans many blocks, so the running
+        # total is carried across block boundaries
+        a = split_graph(groups, 0.7, 21)
+        n_mean = 4.0
+        sampler = GraphSampler(a, n_mean)
+        largest = max(nodes.size for nodes in sampler.components)
+        assert largest >= 16 and (1 << largest) > gbs_engine.TABLE_BLOCK
+        powers = encode(a, n_mean).c ** np.arange(a.shape[0] + 1, dtype=float)
+        for nodes, cum in zip(sampler.components, sampler.tables):
+            h = hafnian_all_subsets(a[np.ix_(nodes, nodes)])
+            sizes = np.bitwise_count(np.arange(h.size))
+            assert np.array_equal(cum, np.cumsum(h * h * powers[sizes]))
+
     def test_descent_never_takes_a_massless_half(self):
         # on path 0-1-2, once nodes 1 and 2 are in, node 0's bit-1 half
         # {0, 1, 2} has no mass; u at or past the total passes every bit-0 mass

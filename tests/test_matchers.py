@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbsclust.errors import InvalidInputError
 from gbsclust.matchers import (
@@ -105,7 +107,28 @@ class TestHafnian:
         assert hafnian(with_diag) == pytest.approx(hafnian(b), rel=1e-12)
 
 
+@st.composite
+def zero_one_graphs(draw):
+    """0/1 adjacency matrices of 0-12 nodes, each edge drawn on its own."""
+    n = draw(st.integers(0, 12))
+    pairs = n * (n - 1) // 2
+    edges = draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs))
+    a = np.zeros((n, n))
+    a[np.triu_indices(n, 1)] = edges
+    return a + a.T
+
+
 class TestSubsetTable:
+    @settings(max_examples=20, deadline=None)
+    @given(zero_one_graphs())
+    def test_every_entry_is_the_exact_matching_count(self, a):
+        # exact integers are what lets any summation order keep the bytes
+        n = a.shape[0]
+        table = hafnian_all_subsets(a)
+        for mask in range(1 << n):
+            bits = [i for i in range(n) if (mask >> i) & 1]
+            assert table[mask] == count_matchings_bruteforce(a[np.ix_(bits, bits)])
+
     def test_matches_per_subset_enumeration(self):
         rng = np.random.default_rng(46)
         for _ in range(10):
