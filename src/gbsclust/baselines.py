@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import graph_core
 from .errors import InvalidInputError
 from .graph_core import PointSet
 from .qclust import Clustering, post_process
@@ -226,21 +225,21 @@ def elbow_select_k(
     return fits[best_k]
 
 
-def dbscan(points: PointSet, eps: float, min_pts: int) -> DbscanResult:
+def dbscan(d: np.ndarray, eps: float, min_pts: int) -> DbscanResult:
     """Density-reachability clustering with brute-force neighbor scans.
 
-    A point is core when its closed eps-neighborhood (itself included) holds
-    at least ``min_pts`` points.  Clusters are grown from core points in
-    ascending index order; border points join the first cluster that reaches
-    them; anything unreachable is noise.  Distances come from
-    ``graph_core.compute_distance_matrix``.
+    ``d`` is the points' (M, M) matrix from
+    ``graph_core.compute_distance_matrix``, trusted as given.  A point is
+    core when its closed eps-neighborhood (itself included) holds at least
+    ``min_pts`` points.  Clusters are grown from core points in ascending
+    index order; border points join the first cluster that reaches them;
+    anything unreachable is noise.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise InvalidInputError(f"eps must be finite and positive, got {eps}")
     if min_pts < 1:
         raise InvalidInputError("min_pts must be at least 1")
-    m = len(points)
-    d = graph_core.compute_distance_matrix(points)
+    m = len(d)
     neighbors = [np.nonzero(d[i] <= eps)[0] for i in range(m)]
     core = np.array([len(nb) >= min_pts for nb in neighbors])
 
@@ -266,14 +265,15 @@ def dbscan(points: PointSet, eps: float, min_pts: int) -> DbscanResult:
 
 
 def dbscan_with_postprocess(
-    points: PointSet, eps: float, min_pts: int, a: np.ndarray
+    d: np.ndarray, eps: float, min_pts: int, a: np.ndarray
 ) -> Clustering:
-    """DBSCAN whose noise points are reattached through the graph ``a``."""
-    raw = dbscan(points, eps, min_pts)
+    """DBSCAN on the distances ``d`` whose noise points are reattached
+    through the graph ``a``."""
+    raw = dbscan(d, eps, min_pts)
     clusters = post_process(raw.noise, raw.clusters, a)
     return Clustering(
         clusters=clusters,
-        n_points=len(points),
+        n_points=len(d),
         method="dbscan",
         params={"eps": eps, "min_pts": min_pts},
     )

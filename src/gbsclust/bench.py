@@ -243,6 +243,7 @@ def _blob_dataset(rng, m, config: BenchConfig) -> graph_core.PointSet:
 def _run_one(
     method: str,
     points: graph_core.PointSet,
+    d: np.ndarray,
     a: np.ndarray,
     config: BenchConfig,
     seed: int,
@@ -255,18 +256,17 @@ def _run_one(
     if method == "kmeans":
         k_max = min(config.kmeans_k_max, len(points))
         return baselines.elbow_select_k(points, k_max, seed=seed).to_clustering()
-    if method == "dbscan":
-        return baselines.dbscan_with_postprocess(
-            points, config.dbscan_eps, config.dbscan_min_pts, a
-        )
-    raise InvalidInputError(f"unknown method {method!r}")
+    return baselines.dbscan_with_postprocess(  # the last of METHODS
+        d, config.dbscan_eps, config.dbscan_min_pts, a
+    )
 
 
 def run_benchmark(config: BenchConfig) -> BenchReport:
     """Score every method on every generated dataset.
 
     Deterministic: per-dataset seeds derive from the master seed and the
-    dataset index, and all methods of one dataset see the identical graph.
+    dataset index, and all methods of one dataset see the identical graph
+    and the one distance matrix it was built from.
     """
     report = BenchReport(config=config)
     for idx in range(config.dataset_count):
@@ -277,13 +277,14 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         points = generate_dataset(
             qclust.derive_seed(config.master_seed, idx, 1), m, config, profile=profile
         )
-        a = graph_core.threshold_graph(points, config.d_percentile)
+        d = graph_core.compute_distance_matrix(points)
+        a = graph_core.threshold_graph(d, config.d_percentile)
         method_seed = qclust.derive_seed(config.master_seed, idx, 2)
         for method in METHODS:
             row = BenchRow(dataset_id=idx, method=method)
             try:
-                clustering = _run_one(method, points, a, config, method_seed)
-                scores = metrics.compute_report(points, clustering, a)
+                clustering = _run_one(method, points, d, a, config, method_seed)
+                scores = metrics.compute_report(d, clustering, a)
                 row.silhouette = scores.silhouette
                 row.weighted_density = scores.weighted_density
                 row.cohesion = scores.cohesion

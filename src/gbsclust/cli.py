@@ -48,7 +48,7 @@ def main():
 def cluster(input_path, d_percentile, samples, mode, seed, out_path):
     """Cluster a points CSV with the GBS driver."""
     points = graph_core.load_points_csv(input_path)
-    a = graph_core.threshold_graph(points, d_percentile)
+    a = graph_core.threshold_graph(graph_core.compute_distance_matrix(points), d_percentile)
     params = qclust.ClusterParams(n_samples=samples, mode=_MODES[mode], seed=seed)
     _write_clustering(qclust.gbs_cluster(a, params), points, out_path)
 
@@ -84,8 +84,9 @@ def kmeans(input_path, k, k_max, seed, out_path):
 def dbscan(input_path, eps, min_pts, d_percentile, out_path):
     """Cluster a points CSV with DBSCAN plus graph noise reattachment."""
     points = graph_core.load_points_csv(input_path)
-    a = graph_core.threshold_graph(points, d_percentile)
-    clustering = baselines.dbscan_with_postprocess(points, eps, min_pts, a)
+    d = graph_core.compute_distance_matrix(points)
+    a = graph_core.threshold_graph(d, d_percentile)
+    clustering = baselines.dbscan_with_postprocess(d, eps, min_pts, a)
     _write_clustering(clustering, points, out_path)
 
 

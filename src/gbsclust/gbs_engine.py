@@ -1,6 +1,6 @@
 """Exact simulation of graph-encoded Gaussian boson sampling.
 
-A symmetric matrix A is encoded through its Takagi factorization and a
+A symmetric matrix A is encoded through its Takagi singular values and a
 rescaling c chosen so that the squeezed modes carry a target mean photon
 number.  Restricted to binary photon patterns, the outcome distribution over
 node subsets S of the encoded graph is
@@ -111,21 +111,22 @@ class TakagiFactors:
 
 @dataclass
 class GbsEncoding:
-    """A Takagi-encoded matrix plus the squeezing scale for a photon budget."""
+    """A matrix's Takagi singular values ``lam`` (descending) plus the
+    squeezing scale for a photon budget."""
 
-    takagi: TakagiFactors
+    lam: np.ndarray
     c: float
     n_mean: float
     mode: str = MODE_PNR
 
     def __post_init__(self):
         max_nodes(self.mode)  # rejects an unknown mode
-        if np.any((self.c * self.takagi.lam) ** 2 >= 1.0):
+        if np.any((self.c * self.lam) ** 2 >= 1.0):
             raise InvalidInputError("rescaling violates c * lambda_max < 1")
-        implied = _mean_photons(self.c, self.takagi.lam)
+        implied = _mean_photons(self.c, self.lam)
         # near the pole, c's neighbouring floats can be over ATOL photons apart
         step = max(
-            abs(_mean_photons(np.nextafter(self.c, end), self.takagi.lam) - implied)
+            abs(_mean_photons(np.nextafter(self.c, end), self.lam) - implied)
             for end in (0.0, np.inf)
         )
         if abs(implied - self.n_mean) > max(CALIBRATION_ATOL, step):
@@ -136,7 +137,7 @@ class GbsEncoding:
     @property
     def det_sigma_q(self) -> float:
         """det(sigma_Q) of the pure encoded state: prod 1/(1 - (c lam_i)^2)."""
-        x = (self.c * self.takagi.lam) ** 2
+        x = (self.c * self.lam) ** 2
         return float(np.prod(1.0 / (1.0 - x)))
 
 
@@ -152,22 +153,25 @@ class SampleBatch:
             raise InvalidInputError("odd-size subset in pnr_postselected batch")
 
 
+def _sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a checked symmetric matrix in Takagi order: stably
+    sorted by |eigenvalue|, largest first."""
+    evals, evecs = np.linalg.eigh(a)
+    order = np.argsort(-np.abs(evals), kind="stable")
+    return evals[order], evecs[:, order]
+
+
 def takagi(a: np.ndarray) -> TakagiFactors:
     """Takagi factors of a real symmetric matrix.
 
     Eigenvalues give the singular values up to sign; negative ones are
     rotated into the columns with a factor of 1j, which keeps U unitary and
-    the reconstruction U diag(lam) U^T exact.
+    the reconstruction U diag(lam) U^T exact.  The sampler needs only lam,
+    which ``encode`` takes from the same sorted eigenvalues without U.
     """
     a = _check_symmetric(a)
-    if a.shape[0] == 0:
-        return TakagiFactors(u=np.zeros((0, 0), dtype=complex), lam=np.zeros(0))
-    evals, evecs = np.linalg.eigh(a)
-    lam = np.abs(evals)
-    phases = np.where(evals < 0.0, 1j, 1.0 + 0j)
-    u = evecs.astype(complex) * phases[None, :]
-    order = np.argsort(-lam, kind="stable")
-    factors = TakagiFactors(u=u[:, order], lam=lam[order])
+    evals, evecs = _sorted_eigh(a)
+    factors = TakagiFactors(u=evecs * np.where(evals < 0.0, 1j, 1.0), lam=np.abs(evals))
     err = np.linalg.norm(factors.reconstruct() - a)
     if err > RECONSTRUCTION_RTOL * max(1.0, np.linalg.norm(a)):
         raise InvalidInputError(f"takagi reconstruction failed, residual {err:.3e}")
@@ -210,10 +214,9 @@ def calibrate_scaling(lam: np.ndarray, n_mean: float) -> float:
 
 
 def encode(a: np.ndarray, n_mean: float, mode: str = MODE_PNR) -> GbsEncoding:
-    """Takagi-encode ``a`` and calibrate the rescaling for ``n_mean`` photons."""
-    factors = takagi(a)
-    c = calibrate_scaling(factors.lam, n_mean)
-    return GbsEncoding(takagi=factors, c=c, n_mean=n_mean, mode=mode)
+    """Takagi singular values of ``a`` and the rescaling for ``n_mean`` photons."""
+    lam = np.abs(_sorted_eigh(_check_symmetric(a))[0])
+    return GbsEncoding(lam=lam, c=calibrate_scaling(lam, n_mean), n_mean=n_mean, mode=mode)
 
 
 def subset_weight(a: np.ndarray, enc: GbsEncoding, subset) -> float:
@@ -371,6 +374,9 @@ class GraphSampler:
             else:
                 weights = _threshold_weights(sub, c)
                 np.cumsum(weights, out=weights)
+            # entries near 1e+-300 take c^|S| and Haf^2 out of the float range
+            if not math.isfinite(weights[-1]):
+                raise NumericError(f"{nodes.size}-node component weights sum to {weights[-1]}")
             tables.append(weights)
         return tables
 

@@ -98,6 +98,8 @@ def percentile(values, q: float) -> float:
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
         raise InvalidInputError("percentile of an empty population")
+    if not np.isfinite(values).all():
+        raise InvalidInputError("percentile of a population with NaN or infinite values")
     if not 0.0 <= q <= 1.0:
         raise InvalidInputError(f"percentile fraction must be in [0, 1], got {q}")
     return float(np.quantile(values, q, method="linear"))
@@ -117,20 +119,22 @@ def build_adjacency(d: np.ndarray, d_tilde: float) -> np.ndarray:
     return a
 
 
-def threshold_graph(points: PointSet, d_percentile: float) -> np.ndarray:
-    """Threshold graph at the ``d_percentile`` percentile of pairwise distances.
+def threshold_graph(d: np.ndarray, d_percentile: float) -> np.ndarray:
+    """Threshold graph at the ``d_percentile`` percentile of the distances ``d``.
 
-    ``d_percentile`` must lie strictly in (0, 1).  When so many points
-    coincide that the percentile is a distance of 0, no pair lies strictly
-    closer, and InvalidInputError names the pairs at distance 0 instead of
-    returning the edgeless graph.  For a fixed threshold, pass
-    ``compute_distance_matrix(points)`` to ``build_adjacency``.
+    ``d`` is the (M, M) matrix ``compute_distance_matrix`` returns, built
+    once per point set by the caller and trusted as given; a NaN or
+    infinite distance is rejected by ``percentile``.  ``d_percentile`` must
+    lie strictly in (0, 1).  When so many points coincide that the
+    percentile is a distance of 0, no pair lies strictly closer, and
+    InvalidInputError names the pairs at distance 0 instead of returning
+    the edgeless graph.  For a fixed threshold, pass ``d`` to
+    ``build_adjacency``.
     """
     if not 0.0 < d_percentile < 1.0:
         raise InvalidInputError(
             f"d_percentile must lie strictly in (0, 1), got {d_percentile}"
         )
-    d = compute_distance_matrix(points)
     values = upper_triangle_values(d)
     d_tilde = percentile(values, d_percentile)
     if d_tilde <= 0:

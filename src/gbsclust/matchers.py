@@ -46,6 +46,10 @@ def _check_symmetric(b: np.ndarray) -> np.ndarray:
     # NaN never equals itself, so it still reaches allclose and is rejected
     if not (b == b.T).all() and not np.allclose(b, b.T, rtol=0.0, atol=SYMMETRY_ATOL):
         raise InvalidInputError("matrix must be symmetric within 1e-12")
+    # inf == inf, so an infinite entry passes the symmetry test
+    bad = np.argwhere(~np.isfinite(b)).tolist()
+    if bad:
+        raise InvalidInputError(f"matrix entries must be finite; not so at {bad[:4]}")
     return b
 
 

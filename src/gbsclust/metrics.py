@@ -1,14 +1,15 @@
 """Clustering quality scores: silhouette, weighted density, cohesion.
 
-The silhouette score lives in metric space; the other two are read off the
-threshold graph.  Weighted density averages per-cluster subgraph densities
-weighted by cluster size.  Cohesion averages, over clusters, internal edge
-density minus normalized external connectivity.  Singleton clusters count
-as perfectly dense (density 1, internal density 1) and score 0 in the
-silhouette, conventions the isolated-point rule of the pipelines makes
-unavoidable.  A one-cluster partition also scores 0 in the silhouette: no
-point has a nearest other cluster, so b(i) does not exist, the same gap
-the singleton rule covers.
+The silhouette score is read off the points' distance matrix, which the
+caller builds once with ``compute_distance_matrix`` and passes in; the other
+two are read off the threshold graph.  Weighted density averages
+per-cluster subgraph densities weighted by cluster size.  Cohesion averages,
+over clusters, internal edge density minus normalized external
+connectivity.  Singleton clusters count as perfectly dense (density 1,
+internal density 1) and score 0 in the silhouette, conventions the
+isolated-point rule of the pipelines makes unavoidable.  A one-cluster
+partition also scores 0 in the silhouette: no point has a nearest other
+cluster, so b(i) does not exist, the same gap the singleton rule covers.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import PointSet, compute_distance_matrix, edge_counts
-from .graph_core import graph_density  # noqa: F401  (re-exported)
+# compute_distance_matrix and graph_density are re-exported for the benchmark tracer
+from .graph_core import compute_distance_matrix, edge_counts, graph_density  # noqa: F401
 from .qclust import Clustering
 
 __all__ = [
@@ -45,15 +46,15 @@ class MetricsReport:
             raise AssertionError(f"cohesion out of range: {self.cohesion}")
 
 
-def silhouette(points: PointSet, clustering: Clustering) -> float:
-    """Mean silhouette over points; singleton members contribute 0, and a
-    one-cluster partition, where no point has another cluster, scores 0."""
+def silhouette(d: np.ndarray, clustering: Clustering) -> float:
+    """Mean silhouette over points, from their (M, M) distance matrix ``d``;
+    singleton members contribute 0, and a one-cluster partition, where no
+    point has another cluster, scores 0."""
     if len(clustering.clusters) == 1:
         return 0.0
-    d = compute_distance_matrix(points)
     labels = clustering.labels
-    scores = np.zeros(len(points))
-    for i in range(len(points)):
+    scores = np.zeros(len(d))
+    for i in range(len(d)):
         own = clustering.clusters[labels[i]]
         if len(own) == 1:
             continue  # singleton convention: s(i) = 0
@@ -101,12 +102,13 @@ def cohesion(clustering: Clustering, a: np.ndarray) -> float:
 
 
 def compute_report(
-    points: PointSet, clustering: Clustering, a: np.ndarray
+    d: np.ndarray, clustering: Clustering, a: np.ndarray
 ) -> MetricsReport:
-    """All three scores, ranges asserted."""
+    """All three scores from the distances ``d`` and the graph ``a``,
+    ranges asserted."""
     density, cohesion_score = _breakdown(clustering, a)
     return MetricsReport(
-        silhouette=silhouette(points, clustering),
+        silhouette=silhouette(d, clustering),
         weighted_density=density,
         cohesion=cohesion_score,
     )

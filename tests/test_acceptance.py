@@ -261,7 +261,7 @@ def test_criterion_09_metric_unit_checks(bench_report):
     pair_clusters = qclust.Clustering(
         clusters=[[0, 1], [2, 3]], n_points=4, method="fixture"
     )
-    sil = metrics.silhouette(tight_pairs, pair_clusters)
+    sil = metrics.silhouette(graph_core.compute_distance_matrix(tight_pairs), pair_clusters)
 
     result, _ = bench_report
     rows_in_range = all(

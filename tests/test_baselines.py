@@ -18,7 +18,7 @@ from gbsclust.baselines import (
     kmeans,
 )
 from gbsclust.errors import InvalidInputError
-from gbsclust.graph_core import PointSet
+from gbsclust.graph_core import PointSet, build_adjacency, compute_distance_matrix
 
 from helpers import (
     adjusted_rand_index,
@@ -118,7 +118,7 @@ class TestElbow:
 class TestDbscan:
     def test_two_blobs_no_noise(self):
         points, truth = blobs([[0, 0], [10, 10]], size=4, spread=0.01, seed=5)
-        result = dbscan(points, eps=0.1, min_pts=2)
+        result = dbscan(compute_distance_matrix(points), eps=0.1, min_pts=2)
         assert len(result.clusters) == 2
         assert result.noise == []
         labels = np.empty(8, dtype=int)
@@ -128,23 +128,23 @@ class TestDbscan:
 
     def test_far_point_is_noise(self):
         points = pts([[0, 0], [0.001, 0], [0, 0.001], [5, 5]])
-        result = dbscan(points, eps=0.01, min_pts=2)
+        result = dbscan(compute_distance_matrix(points), eps=0.01, min_pts=2)
         assert result.noise == [3]
 
     def test_chain_connects(self):
         eps = 0.005
         coords = [[0, i * eps / 2] for i in range(10)]
-        result = dbscan(pts(coords), eps=eps, min_pts=2)
+        result = dbscan(compute_distance_matrix(pts(coords)), eps=eps, min_pts=2)
         assert len(result.clusters) == 1
         assert sorted(result.clusters[0]) == list(range(10))
 
     def test_order_invariance(self):
         points, _ = blobs([[0, 0], [3, 3], [6, 0]], size=5, spread=0.3, seed=8)
-        result = dbscan(points, eps=1.0, min_pts=2)
+        result = dbscan(compute_distance_matrix(points), eps=1.0, min_pts=2)
         rng = np.random.default_rng(0)
         perm = rng.permutation(len(points))
         shuffled = pts(points.coords[perm])
-        result_shuffled = dbscan(shuffled, eps=1.0, min_pts=2)
+        result_shuffled = dbscan(compute_distance_matrix(shuffled), eps=1.0, min_pts=2)
 
         def as_partition(res, mapping=None):
             groups = []
@@ -157,47 +157,46 @@ class TestDbscan:
         assert as_partition(result) == as_partition(result_shuffled, mapping=perm)
 
     def test_bad_params_rejected(self):
-        points = pts([[0, 0], [1, 1]])
+        d = compute_distance_matrix(pts([[0, 0], [1, 1]]))
         with pytest.raises(InvalidInputError):
-            dbscan(points, eps=0.0, min_pts=2)
+            dbscan(d, eps=0.0, min_pts=2)
         with pytest.raises(InvalidInputError):
-            dbscan(points, eps=1.0, min_pts=0)
+            dbscan(d, eps=1.0, min_pts=0)
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_eps_rejected(self, eps):
         # NaN fails every comparison, so a bare eps <= 0 check lets it through
-        points = pts([[0, 0], [1, 1]])
+        d = compute_distance_matrix(pts([[0, 0], [1, 1]]))
         with pytest.raises(InvalidInputError, match="eps must be finite and positive"):
-            dbscan(points, eps=eps, min_pts=2)
+            dbscan(d, eps=eps, min_pts=2)
 
 
 class TestDbscanWithPostprocess:
     def test_no_noise_is_identity(self):
         points, _ = blobs([[0, 0], [10, 10]], size=4, spread=0.01, seed=5)
         a = graph_from_edges(8, [])
-        raw = dbscan(points, eps=0.1, min_pts=2)
-        full = dbscan_with_postprocess(points, 0.1, 2, a)
+        d = compute_distance_matrix(points)
+        raw = dbscan(d, eps=0.1, min_pts=2)
+        full = dbscan_with_postprocess(d, 0.1, 2, a)
         assert sorted(map(tuple, full.clusters)) == sorted(map(tuple, raw.clusters))
 
     def test_isolated_noise_becomes_singleton(self):
         points = pts([[0, 0], [0.001, 0], [5, 5]])
         a = graph_from_edges(3, [(0, 1)])
-        full = dbscan_with_postprocess(points, 0.01, 2, a)
+        full = dbscan_with_postprocess(compute_distance_matrix(points), 0.01, 2, a)
         assert [2] in full.clusters
 
     def test_connected_noise_absorbed(self):
         points = pts([[0, 0], [0.001, 0], [0.02, 0]])
         a = graph_from_edges(3, [(0, 1), (1, 2)])
-        full = dbscan_with_postprocess(points, 0.01, 2, a)
+        full = dbscan_with_postprocess(compute_distance_matrix(points), 0.01, 2, a)
         assert full.clusters == [[0, 1, 2]]
 
     def test_always_full_partition(self):
         points, _ = blobs([[0, 0], [0.02, 0.02]], size=5, spread=0.004, seed=9)
-        d = points.coords
-        from gbsclust.graph_core import build_adjacency, compute_distance_matrix
-
-        a = build_adjacency(compute_distance_matrix(points), 0.02)
-        full = dbscan_with_postprocess(points, 0.005, 2, a)
+        d = compute_distance_matrix(points)
+        a = build_adjacency(d, 0.02)
+        full = dbscan_with_postprocess(d, 0.005, 2, a)
         assert sorted(n for c in full.clusters for n in c) == list(range(10))
 
 

@@ -14,7 +14,7 @@ from gbsclust.bench import (
     generate_dataset,
     run_benchmark,
 )
-from gbsclust import qclust
+from gbsclust import graph_core, metrics, qclust
 from gbsclust.cli import main as cli_main
 from gbsclust.errors import CapacityError, InvalidInputError
 from gbsclust.gbs_engine import MODE_PNR, MODE_THRESHOLD
@@ -43,10 +43,11 @@ class TestGenerateDataset:
 
     def test_single_blob_is_one_dbscan_cluster(self):
         from gbsclust.baselines import dbscan
+        from gbsclust.graph_core import compute_distance_matrix
 
         config = BenchConfig(blob_min=1, blob_max=1, jitter_sigma=0.001)
         points = generate_dataset(3, 15, config, profile="blob")
-        result = dbscan(points, eps=0.005, min_pts=2)
+        result = dbscan(compute_distance_matrix(points), eps=0.005, min_pts=2)
         assert len(result.clusters) == 1
         assert result.noise == []
 
@@ -176,6 +177,21 @@ class TestRunBenchmark:
             assert -1.0 <= row.silhouette <= 1.0
             assert 0.0 <= row.weighted_density <= 1.0
             assert -1.0 <= row.cohesion <= 1.0
+
+    def test_one_distance_matrix_per_dataset(self, monkeypatch):
+        # threshold graph, DBSCAN and the three silhouettes share one matrix
+        real, calls = graph_core.compute_distance_matrix, []
+
+        def counting(points):
+            calls.append(len(points))
+            return real(points)
+
+        for module in (graph_core, metrics):
+            monkeypatch.setattr(module, "compute_distance_matrix", counting)
+        config = BenchConfig(dataset_count=3, m_min=8, m_max=10)
+        report = run_benchmark(config)
+        assert all(row.ok for row in report.rows)
+        assert len(calls) == config.dataset_count
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(points, params):

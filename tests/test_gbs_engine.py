@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -13,6 +14,7 @@ from gbsclust.errors import (
     DegenerateGraphError,
     InvalidInputError,
     NoSolutionError,
+    NumericError,
 )
 from gbsclust.gbs_engine import (
     MODE_PNR,
@@ -79,6 +81,16 @@ class TestTakagi:
     def test_non_symmetric_rejected(self):
         with pytest.raises(InvalidInputError):
             takagi(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    def test_empty_matrix(self):
+        f = takagi(np.zeros((0, 0)))
+        assert f.u.shape == (0, 0)
+        assert f.lam.shape == (0,)
+
+    def test_infinite_entry_rejected(self):
+        match = re.escape("must be finite; not so at [[0, 1], [1, 0]]")
+        with pytest.raises(InvalidInputError, match=match):
+            takagi(np.array([[0.0, np.inf], [np.inf, 0.0]]))
 
 
 class TestCalibrateScaling:
@@ -149,9 +161,8 @@ class TestEncoding:
         assert enc.det_sigma_q == pytest.approx(2.25, abs=1e-9)
 
     def test_inconsistent_encoding_rejected(self):
-        factors = takagi(SINGLE_EDGE)
         with pytest.raises(InvalidInputError):
-            GbsEncoding(takagi=factors, c=0.9, n_mean=1.0)
+            GbsEncoding(lam=takagi(SINGLE_EDGE).lam, c=0.9, n_mean=1.0)
 
     @pytest.mark.parametrize("n_mean", [1e4, 1e6, 1e12])
     def test_target_near_the_pole_accepted(self, n_mean):
@@ -163,7 +174,45 @@ class TestEncoding:
     def test_miscalibrated_c_rejected(self, n_mean, factor):
         enc = encode(K4, n_mean)
         with pytest.raises(InvalidInputError):
-            GbsEncoding(takagi=enc.takagi, c=enc.c * factor, n_mean=n_mean)
+            GbsEncoding(lam=enc.lam, c=enc.c * factor, n_mean=n_mean)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            SINGLE_EDGE,  # eigenvalues -1, 1
+            graph_from_edges(3, [(0, 1), (1, 2), (0, 2)]),  # -1, -1, 2
+            K4,  # -1 three times, 3
+            graph_from_edges(4, [(0, 1), (2, 3)]),  # -1, -1, 1, 1
+            *(
+                random_symmetric(np.random.default_rng(seed), n)
+                for seed, n in ((4, 6), (5, 11), (6, 17))
+            ),
+        ],
+        ids=["edge", "triangle", "K4", "two-edges", "random-6", "random-11", "random-17"],
+    )
+    def test_encoding_takes_takagis_singular_values_without_takagi(self, a):
+        expected = takagi(a).lam
+        with mock.patch.object(gbs_engine, "takagi", side_effect=AssertionError("U built")):
+            enc = encode(a, 2.0)
+        assert np.array_equal(enc.lam, expected)
+        assert enc.c == calibrate_scaling(expected, 2.0)
+
+    def test_infinite_entry_rejected(self):
+        a = np.array([[0.0, np.inf], [np.inf, 0.0]])
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            encode(a, 1.0)
+        for mode in (MODE_PNR, MODE_THRESHOLD):
+            with pytest.raises(InvalidInputError, match="must be finite"):
+                sample(a, 1.0, 5, mode=mode, seed=0)
+
+    @pytest.mark.parametrize("weight", [1e300, 1e-300])
+    def test_unrepresentable_weight_table_rejected(self, weight):
+        # c^2 and Haf^2 leave the float range in opposite directions, so
+        # their product is nan; without the check every draw came out empty
+        sampler = GraphSampler(weight * SINGLE_EDGE, 1.0)
+        match = "2-node component weights sum to nan"
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match=match):
+            sampler.draw(5, seed=0)
 
     def test_target_beyond_the_bracket_rejected(self):
         # c is capped at (1 - 1e-14) / lam_max, which gives K4 ~4.9e13 photons

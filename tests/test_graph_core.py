@@ -70,6 +70,11 @@ class TestPercentile:
         with pytest.raises(InvalidInputError):
             percentile([], 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="NaN or infinite"):
+            percentile([bad, 1.0, 2.0], 0.5)
+
     def test_monotone_in_q(self):
         rng = np.random.default_rng(3)
         values = rng.normal(size=40)
@@ -119,24 +124,31 @@ class TestThresholdGraph:
         points = pts((0, 0), (1, 0), (3, 0), (7, 0))
         d = compute_distance_matrix(points)
         d_tilde = percentile(upper_triangle_values(d), 0.5)
-        assert np.array_equal(threshold_graph(points, 0.5), build_adjacency(d, d_tilde))
+        assert np.array_equal(threshold_graph(d, 0.5), build_adjacency(d, d_tilde))
 
     def test_zero_threshold_rejected(self):
-        points = pts((1, 1), (1, 1), (1, 1), (4, 4))
+        d = compute_distance_matrix(pts((1, 1), (1, 1), (1, 1), (4, 4)))
         with pytest.raises(InvalidInputError, match="3 of 6 point pairs are at distance 0"):
-            threshold_graph(points, 0.35)
+            threshold_graph(d, 0.35)
 
     def test_two_coincident_groups_rejected(self):
-        points = pts(*[(0, 0)] * 3, *[(5, 5)] * 3)
+        d = compute_distance_matrix(pts(*[(0, 0)] * 3, *[(5, 5)] * 3))
         with pytest.raises(InvalidInputError, match="use a larger d_percentile"):
-            threshold_graph(points, 0.35)
+            threshold_graph(d, 0.35)
         # past the coincident pairs the threshold is positive again
-        assert threshold_graph(points, 0.5).sum() == 12
+        assert threshold_graph(d, 0.5).sum() == 12
+
+    def test_nan_distance_rejected(self):
+        # a NaN distance once gave an edgeless graph without error
+        d = compute_distance_matrix(pts((0, 0), (1, 0), (3, 0)))
+        d[0, 2] = d[2, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="NaN or infinite"):
+            threshold_graph(d, 0.5)
 
     @pytest.mark.parametrize("q", [0.0, 1.0])
     def test_percentile_outside_open_interval_rejected(self, q):
         with pytest.raises(InvalidInputError, match="d_percentile"):
-            threshold_graph(pts((0, 0), (1, 0), (3, 0)), q)
+            threshold_graph(compute_distance_matrix(pts((0, 0), (1, 0), (3, 0))), q)
 
 
 class TestGraphDensity:

@@ -2,10 +2,12 @@
 
 ``perfbench/tracer.py`` wraps the functions listed in its ``WRAP_POINTS``
 by module attribute, and its hooks read some arguments by position;
-``perfbench/child.py`` wraps ``metrics.compute_report`` with a
-``(points, clustering, a)`` signature.  A rename or a signature change in
-the package would break the benchmark without failing any other test, so
-all three are checked here.  The tracer is read as source, not imported.
+``perfbench/child.py`` wraps ``metrics.compute_report`` as a call of three
+positional arguments, ``(d, clustering, a)``, and reads only ``len()`` of
+the first, which for the (M, M) distance matrix is the point count M.  A
+rename or a signature change in the package would break the benchmark
+without failing any other test, so all three are checked here.  The
+tracer is read as source, not imported.
 """
 
 import ast

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gbsclust.graph_core import PointSet
+from gbsclust.graph_core import PointSet, compute_distance_matrix
 from gbsclust.metrics import (
     cohesion,
     compute_report,
@@ -22,12 +22,13 @@ def clustering(clusters, n):
 
 
 TIGHT_PAIRS = pts([[0, 0], [0, 0.01], [10, 10], [10, 10.01]])
+TIGHT_PAIRS_D = compute_distance_matrix(TIGHT_PAIRS)
 PAIRS_CLUSTERING = clustering([[0, 1], [2, 3]], 4)
 
 
 class TestSilhouette:
     def test_tight_pairs(self):
-        value = silhouette(TIGHT_PAIRS, PAIRS_CLUSTERING)
+        value = silhouette(TIGHT_PAIRS_D, PAIRS_CLUSTERING)
         # hand computation: a = 0.01 for every point, b is the mean
         # distance to the other pair
         d = np.sqrt(((TIGHT_PAIRS.coords[:, None] - TIGHT_PAIRS.coords[None]) ** 2).sum(-1))
@@ -41,19 +42,19 @@ class TestSilhouette:
         assert value == pytest.approx(0.999, abs=1e-3)
 
     def test_all_singletons(self):
-        assert silhouette(TIGHT_PAIRS, clustering([[0], [1], [2], [3]], 4)) == 0.0
+        assert silhouette(TIGHT_PAIRS_D, clustering([[0], [1], [2], [3]], 4)) == 0.0
 
     def test_swapped_points_go_negative(self):
         swapped = clustering([[0, 3], [1, 2]], 4)
-        assert silhouette(TIGHT_PAIRS, swapped) < 0.0
+        assert silhouette(TIGHT_PAIRS_D, swapped) < 0.0
 
     def test_single_cluster_scores_zero(self):
         # no point has a nearest other cluster, so every s(i) is 0
-        assert silhouette(TIGHT_PAIRS, clustering([[0, 1, 2, 3]], 4)) == 0.0
+        assert silhouette(TIGHT_PAIRS_D, clustering([[0, 1, 2, 3]], 4)) == 0.0
 
     def test_coincident_points_score_zero(self):
-        points = pts([[0, 0], [0, 0], [5, 5], [0, 1]])
-        value = silhouette(points, clustering([[0, 1], [2, 3]], 4))
+        d = compute_distance_matrix(pts([[0, 0], [0, 0], [5, 5], [0, 1]]))
+        value = silhouette(d, clustering([[0, 1], [2, 3]], 4))
         # the coincident pair has a = 0 < b, scoring 1 each; finite result
         assert -1.0 <= value <= 1.0
 
@@ -124,9 +125,8 @@ class TestInvariances:
 class TestReport:
     def test_report_shape_and_ranges(self):
         a = graph_from_edges(4, [(0, 1), (2, 3)])
-        points = TIGHT_PAIRS
-        report = compute_report(points, PAIRS_CLUSTERING, a)
-        assert report.silhouette == silhouette(points, PAIRS_CLUSTERING)
+        report = compute_report(TIGHT_PAIRS_D, PAIRS_CLUSTERING, a)
+        assert report.silhouette == silhouette(TIGHT_PAIRS_D, PAIRS_CLUSTERING)
         assert report.weighted_density == weighted_density(PAIRS_CLUSTERING, a) == 1.0
         assert report.cohesion == cohesion(PAIRS_CLUSTERING, a) == 1.0
         assert -1 <= report.silhouette <= 1

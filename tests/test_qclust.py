@@ -205,7 +205,7 @@ class TestGbsCluster:
             for j in range(15):
                 assert a[i, j] == (1.0 if i != j and truth[i] == truth[j] else 0.0)
 
-        result = gbs_cluster(threshold_graph(points, 0.35), ClusterParams(seed=9))
+        result = gbs_cluster(threshold_graph(d, 0.35), ClusterParams(seed=9))
         # no cluster may span two groups (graph components never mix)
         for cluster in result.clusters:
             assert len({truth[i] for i in cluster}) == 1
