@@ -17,9 +17,11 @@ components of A: Haf(A_S) is the product of the hafnians of S's parts, and
 Tor(O_S) the product of their torontonians.  So each component is tabulated
 on its own lattice (a hafnian sweep, or a torontonian table at the c
 calibrated on the whole graph), and the product over the whole graph is
-never formed: a draw fixes the graph's bits from the highest down, reading
-each bit's two halves off the owning component's cumulative weights, which
-is the inverse CDF of the whole graph in mask order.
+never formed.  A photon-counting table keeps only the even subsets, half
+of the lattice, since an odd subset has no perfect matching.  A draw fixes
+the graph's bits from the highest down, reading each bit's two halves off
+the owning component's cumulative weights, which is the inverse CDF of the
+whole graph in mask order.
 Nothing is kept between calls: the weight tables belong to the sampler that
 built them.
 
@@ -72,9 +74,11 @@ __all__ = [
 MODE_PNR = "pnr_postselected"
 MODE_THRESHOLD = "threshold"
 
-# exact subset enumeration bounds per connected component, whose table
-# holds 2^k weights; threshold mode is tighter because every subset of a
-# component needs a pair of determinants rather than one shared sweep
+# exact subset enumeration bounds per connected component of k nodes,
+# whose table holds 2^(k-1) weights in photon-counting mode (its even
+# subsets) and 2^k in threshold mode; threshold mode is tighter because
+# every subset of a component needs a pair of determinants rather than one
+# shared sweep
 PNR_MAX_NODES = 26
 THRESHOLD_MAX_NODES = 20
 
@@ -249,6 +253,12 @@ def _bits(masks: np.ndarray, n: int) -> np.ndarray:
     return (masks[:, None] >> np.arange(n)) & 1
 
 
+def _unpack(k: np.ndarray) -> np.ndarray:
+    """Local masks of packed photon-counting table indices: the even-popcount
+    mask of each pair {2k, 2k + 1}."""
+    return (k << 1) | (np.bitwise_count(k) & 1)
+
+
 def _subsets(hits: np.ndarray) -> list[tuple[int, ...]]:
     """The columns set in each row of a 0/1 matrix, as an ascending tuple."""
     nodes = np.nonzero(hits)[1].tolist()
@@ -307,14 +317,18 @@ class GraphSampler:
     DegenerateGraphError for an all-zero matrix: a hafnian sweep in
     photon-counting mode, a torontonian table in threshold mode.  Each
     table is kept as the cumulative weights of the component's subsets in
-    local mask order (local bit b is node ``components[k][b]``); a zero
-    weight never moves a cumulative sum, so a draw picks the same subset as
-    it would from the nonzero weights alone.  A lone node is tabulated only
-    in threshold mode and only with a self-loop; any other lone node is
-    never drawn.  A draw costs O(n_samples * M * K) for K components and the
-    tables take the sum of their 2^k entries; the product over the whole
-    graph is never formed.  The tables live exactly as long as the sampler,
-    so its owner decides how long the memory stays in use.
+    local mask order (local bit b is node ``components[k][b]``).  A k-node
+    threshold table has 2^k entries, one per mask.  A photon-counting table
+    has 2^(k-1): an odd subset has no perfect matching, so entry i holds
+    the even-popcount mask of the pair {2i, 2i + 1}, as
+    ``hafnian_all_subsets`` packs it.  A zero weight never moves a
+    cumulative sum, so a draw picks the same subset as it would from the
+    nonzero weights alone.  A lone node is tabulated only in threshold mode
+    and only with a self-loop; any other lone node is never drawn.  A draw
+    costs O(n_samples * M * K) for K components and the tables take the sum
+    of their entries; the product over the whole graph is never formed.  The
+    tables live exactly as long as the sampler, so its owner decides how long
+    the memory stays in use.
     """
 
     def __init__(self, a: np.ndarray, n_mean: float, mode: str = MODE_PNR):
@@ -327,19 +341,24 @@ class GraphSampler:
             for nodes in graph_core.connected_components(self.a)
             if nodes.size > 1 or (mode == MODE_THRESHOLD and self.a[nodes[0], nodes[0]])
         ]
+        # a photon-counting table is packed: local bit 0 follows from parity
+        packed = int(mode == MODE_PNR)
         for nodes in self.components:
             if nodes.size > limit:
                 raise CapacityError(
                     f"a connected component of {nodes.size} nodes exceeds the {mode} "
-                    f"enumeration bound {limit}; its table would need {8 << nodes.size} bytes"
+                    f"enumeration bound {limit}; its table would need "
+                    f"{8 << (nodes.size - packed)} bytes"
                 )
-        # (component, local bit value, the other components), highest node first
+        # (component, table bit value, the other components), highest node
+        # first; a packed table's local bit b is its bit b - 1
         count = len(self.components)
         others = [[j for j in range(count) if j != k] for k in range(count)]
         owners = sorted(
-            (node, k, b)
+            (node, k, b - packed)
             for k, nodes in enumerate(self.components)
             for b, node in enumerate(nodes.tolist())
+            if b >= packed
         )
         self._schedule = [(k, 1 << b, others[k]) for _, k, b in reversed(owners)]
         self.n_mean = n_mean
@@ -348,7 +367,7 @@ class GraphSampler:
     @functools.cached_property
     def tables(self) -> list[np.ndarray]:
         """Per component, the cumulative weights of its subsets in local
-        mask order."""
+        mask order, packed to the even subsets in photon-counting mode."""
         if float(np.abs(self.a).sum()) == 0.0:
             # only the empty subset would carry mass, and calibration has no root
             raise DegenerateGraphError("graph has no edges, nothing to sample")
@@ -360,15 +379,18 @@ class GraphSampler:
             if self.mode == MODE_PNR:
                 weights = hafnian_all_subsets(sub)
                 # square, times c^|S| and cumulative sum in one pass over
-                # aligned blocks, where |s + i| = |s| + |i|; the running
-                # total enters a block's first entry before its cumsum, so
-                # every sum adds in the order of one cumsum over the table
+                # aligned blocks, where |s + i| = |s| + |i| and a packed
+                # entry's subset has that many nodes rounded up to even; the
+                # running total enters a block's first entry before its
+                # cumsum, so every sum adds in the order of one cumsum over
+                # the table
                 low = np.bitwise_count(np.arange(min(weights.size, TABLE_BLOCK)))
                 carry = 0.0
                 for s in range(0, weights.size, low.size):
                     block = weights[s:s + low.size]
                     block *= block
-                    block *= powers[s.bit_count() + low]
+                    size = s.bit_count() + low
+                    block *= powers[size + (size & 1)]
                     block[0] += carry
                     carry = np.cumsum(block, out=block)[-1]
             else:
@@ -395,6 +417,8 @@ class GraphSampler:
             picked = [np.searchsorted(self.tables[0], u, side="right")]
         else:
             picked = self._descend(u)
+        if self.mode == MODE_PNR:
+            picked = [_unpack(k) for k in picked]
         hits = np.zeros((n_samples, self.m), dtype=bool)
         for nodes, local in zip(self.components, picked):
             hits[:, nodes] = _bits(local, nodes.size)
@@ -412,7 +436,10 @@ class GraphSampler:
         cum[lo + step - 1]; its mass times the other components' masses is
         the weight of the graph's remaining subsets with this bit 0.  Bit 1
         is taken when u lies at or past that weight and bit 1's half has
-        mass, and u then drops by that weight.
+        mass, and u then drops by that weight.  Ranges and bits are those of
+        the tables, so a packed table's masks are its indices; its local
+        bit 0 is never fixed, since one of that bit's halves always has no
+        mass, and fixing it would change neither u nor any other state.
         """
         u = u.copy()
         lo = [np.zeros(u.size, dtype=np.int64) for _ in self.tables]
@@ -475,9 +502,10 @@ def subset_distribution(a: np.ndarray, n_mean: float, mode: str = MODE_PNR) -> d
     weights = np.ones(1)
     for nodes, cum in zip(sampler.components, sampler.tables):
         part = np.diff(cum, prepend=0.0)
-        local = np.flatnonzero(part)
+        index = np.flatnonzero(part)
+        local = _unpack(index) if mode == MODE_PNR else index
         masks = (masks[:, None] | _bits(local, nodes.size) @ (1 << nodes)).ravel()
-        weights = np.multiply.outer(weights, part[local]).ravel()
+        weights = np.multiply.outer(weights, part[index]).ravel()
     subsets = _subsets(_bits(masks, sampler.m))
     total = sampler.total
     return {s: float(w / total) for s, w in zip(subsets, weights) if w > 0.0}

@@ -5,8 +5,8 @@ pairings of the indices, the product of the matched entries.  On a 0/1
 adjacency matrix it counts perfect matchings of the graph.  Two evaluation
 routes are provided: a direct enumeration used as the oracle, and a
 subset-dynamic-programming path that is exponentially cheaper and doubles as
-a table of hafnians over every induced subgraph, which is what the sampler
-consumes.
+a table of hafnians over every even induced subgraph, which is what the
+sampler consumes.
 
 The torontonian is the inclusion-exclusion companion used for threshold
 (click / no-click) detection.  Its value on the 2m-square coupling matrix O
@@ -80,17 +80,24 @@ def hafnian(b: np.ndarray) -> float:
 
 
 def hafnian_all_subsets(b: np.ndarray) -> np.ndarray:
-    """Hafnians of every principal submatrix of ``b`` in one sweep.
+    """Hafnians of every even principal submatrix of ``b`` in one sweep.
 
-    Returns an array ``t`` of length 2**n with ``t[mask]`` equal to the
-    hafnian of ``b`` restricted to the index set encoded by ``mask``.
-    Recurses on the highest set bit h of a mask S:
+    An odd index set has no perfect matching, and of the masks 2k and
+    2k + 1 exactly one has even popcount, so the table is packed: for
+    n >= 1 it has 2^(n-1) entries, and ``t[k]`` is the hafnian of ``b``
+    restricted to the index set of mask (k << 1) | parity(k).  Node 0 is
+    implied by the parity; node h >= 1 is packed bit h - 1.  Ascending k is
+    ascending mask.  For n = 0 the table is ``[1.0]``.
+
+    Recurses on the highest node h of a set S:
     Haf(S) = sum over j in S, j < h of b[j, h] * Haf(S - {h, j}), with j
-    ascending.  The masks whose top bit is h form the block [2^h, 2^(h+1)),
-    filled from the finished masks below 2^h, and each (j, h) update adds
-    contiguous runs of 2^j entries, with no index arrays; odd-popcount masks
-    stay at zero.  O(n * 2^n) time and O(2^n) memory; the sampler calls it
-    once per connected component.
+    ascending.  The sets whose top node is h form the block
+    [2^(h-1), 2^h), filled from the finished entries below 2^(h-1).  An
+    update for j >= 1 adds contiguous runs of 2^(j-1) entries, with no
+    index arrays; the update for node 0 adds to the entries whose offset in
+    the block has even popcount, which are the sets holding node 0.
+    O(n * 2^(n-1)) time and O(2^(n-1)) memory; the sampler calls it once
+    per connected component.
 
     On a 0/1 matrix every entry is a perfect-matching count, at most
     25!! < 2^53 for 26 nodes, so every partial sum is an exact integer and
@@ -99,34 +106,45 @@ def hafnian_all_subsets(b: np.ndarray) -> np.ndarray:
     """
     b = _check_symmetric(b)
     n = b.shape[0]
-    table = np.zeros(1 << n)
+    table = np.zeros(1 << max(n - 1, 0))
     table[0] = 1.0
+    # even[i]: i has even popcount; each doubling flips the parity of its copy
+    even = np.ones(max(table.size >> 1, 1), dtype=bool)
+    s = 1
+    while s < even.size:
+        even[s:2 * s] = ~even[:s]
+        s *= 2
     for h in range(1, n):
-        low = table[:1 << h]
-        block = table[1 << h:2 << h]
+        low = table[:1 << (h - 1)]
+        block = table[1 << (h - 1):1 << h]
         for j in range(h):
             bjh = b[j, h]
             if bjh == 0.0:
                 continue
-            # the runs of 2^j masks without bit j feed the runs with it
-            source = low.reshape(-1, 2, 1 << j)[:, 0, :]
             # unit entries, all of a 0/1 adjacency, skip the product
-            block.reshape(-1, 2, 1 << j)[:, 1, :] += source if bjh == 1.0 else bjh * source
+            if j == 0:
+                # node 0 is in the sets whose offset in the block is even
+                np.add(block, low if bjh == 1.0 else bjh * low, out=block,
+                       where=even[:low.size])
+            else:
+                # the runs of 2^(j-1) entries without node j feed the runs with it
+                source = low.reshape(-1, 2, 1 << (j - 1))[:, 0, :]
+                block.reshape(-1, 2, 1 << (j - 1))[:, 1, :] += (
+                    source if bjh == 1.0 else bjh * source
+                )
     return table
 
 
 def hafnian_fast(b: np.ndarray) -> float:
     """Hafnian via the subset dynamic program; equals :func:`hafnian`.
 
-    Memory is O(2^n), so this is the production path up to n around 26.
+    Memory is O(2^(n-1)), so this is the production path up to n around 26.
     """
     b = _check_symmetric(b)
-    n = b.shape[0]
-    if n == 0:
-        return 1.0
-    if n % 2:
+    if b.shape[0] % 2:
         return 0.0
-    return float(hafnian_all_subsets(b)[(1 << n) - 1])
+    # the last packed entry is the full set
+    return float(hafnian_all_subsets(b)[-1])
 
 
 def hafnian_with_repeats(b: np.ndarray, counts) -> float:

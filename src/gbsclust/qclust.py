@@ -130,20 +130,30 @@ def find_densest_candidate(
 
     Keeps subsets with at least ``l_min`` nodes; ranks by density, then by
     size, then by lexicographically smallest node list so the choice is
-    deterministic.
+    deterministic.  The kept subsets are scored together as the rows of a
+    0/1 matrix H: twice a subset's edge count is the row sum of (H a) * H,
+    an exact integer on a 0/1 ``a``, so each density equals
+    ``graph_core.graph_density``'s bit for bit; a subset of at most one
+    node scores 0.
     """
-    best: tuple[float, int, tuple[int, ...]] | None = None
-    for subset in batch.samples:
-        if len(subset) < l_min:
-            continue
-        key = (
-            -graph_core.graph_density(a, subset),
-            -len(subset),
-            tuple(sorted(subset)),
-        )
-        if best is None or key < best:
-            best = key
-    return (best[2], -best[0]) if best is not None else None
+    passing = [subset for subset in batch.samples if len(subset) >= l_min]
+    if not passing:
+        return None
+    nodes = [i for subset in passing for i in subset]
+    if nodes and not 0 <= min(nodes) <= max(nodes) < a.shape[0]:
+        raise InvalidInputError(f"node index out of range for a {a.shape[0]}-node graph")
+    hits = np.zeros((len(passing), a.shape[0]))
+    hits[[r for r, subset in enumerate(passing) for _ in subset], nodes] = 1.0
+    sizes = hits.sum(axis=1)
+    pairs = sizes * (sizes - 1.0)
+    density = np.divide(
+        ((hits @ a) * hits).sum(axis=1), pairs, out=np.zeros(len(passing)), where=pairs > 0.0
+    )
+    best = min(
+        (-d, -len(subset), tuple(sorted(subset)))
+        for d, subset in zip(density.tolist(), passing)
+    )
+    return best[2], -best[0]
 
 
 def post_process(

@@ -184,6 +184,22 @@ def hafnian_table_loops(b: np.ndarray) -> np.ndarray:
     return np.array(table)
 
 
+def unpack_table(packed, n: int) -> np.ndarray:
+    """A packed photon-counting table spread over all 2^n masks of n nodes.
+
+    Packed entry k belongs to whichever of the masks 2k and 2k + 1 has an
+    even number of set bits; every odd mask gets 0.  A table of n >= 1
+    nodes must have 2^(n-1) entries, and one of 0 nodes the single entry of
+    the empty set.
+    """
+    packed = np.asarray(packed)
+    assert packed.size == max((1 << n) // 2, 1)
+    full = np.zeros(1 << n, dtype=packed.dtype)
+    for k, value in enumerate(packed.tolist()):
+        full[2 * k + bin(k).count("1") % 2] = value
+    return full
+
+
 def calibrate_scaling_200_steps(lam: np.ndarray, n_mean: float) -> float:
     """Photon-budget rescaling c by a fixed 200-step bisection.
 

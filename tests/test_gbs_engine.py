@@ -39,6 +39,7 @@ from helpers import (
     threshold_draws_whole_graph,
     threshold_weights_by_combinations,
     total_variation_distance,
+    unpack_table,
 )
 
 SINGLE_EDGE = graph_from_edges(2, [(0, 1)])
@@ -246,7 +247,7 @@ class TestSample:
     def test_capacity_bound(self):
         # the bound holds per connected component; a path is one component
         path = [(i, i + 1) for i in range(26)]
-        with pytest.raises(CapacityError, match=r"27 nodes .* 1073741824 bytes"):
+        with pytest.raises(CapacityError, match=r"27 nodes .* 536870912 bytes"):
             sample(graph_from_edges(27, path), 1.0, 10, seed=0)
         with pytest.raises(CapacityError, match=r"21 nodes .* 16777216 bytes"):
             sample(graph_from_edges(21, path[:20]), 1.0, 10, mode=MODE_THRESHOLD, seed=0)
@@ -560,13 +561,28 @@ def product_table(a, components, tables):
 def sampler_weights(sampler):
     """The whole graph's weights as the sampler's component tables give them."""
     parts = [np.diff(cum, prepend=0.0) for cum in sampler.tables]
+    if sampler.mode == MODE_PNR:
+        parts = [unpack_table(part, nodes.size) for nodes, part in zip(sampler.components, parts)]
     return product_table(sampler.a, sampler.components, parts)
+
+
+def packed_masks(n):
+    """The mask of each entry of a packed n-node table, in entry order."""
+    return np.flatnonzero(unpack_table(np.ones(max((1 << n) // 2, 1)), n))
+
+
+def full_cumsum_at_packed(sweep, n, powers):
+    """One cumsum of c^|S| Haf^2 over all 2^n masks of an unpacked sweep,
+    read at the masks the packed table keeps."""
+    full = unpack_table(sweep, n)
+    sizes = np.bitwise_count(np.arange(full.size))
+    return np.cumsum(full * full * powers[sizes])[packed_masks(n)]
 
 
 def dense_support(a, n_mean):
     """(masks, cum) of the nonzero weights of one sweep over the whole graph."""
     n = a.shape[0]
-    weights = hafnian_all_subsets(a)
+    weights = unpack_table(hafnian_all_subsets(a), n)
     weights *= weights
     sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])
     weights *= (encode(a, n_mean).c ** np.arange(n + 1, dtype=float))[sizes]
@@ -600,14 +616,15 @@ class TestSupport:
             tables = sampler.tables
         # one sweep per component, and multiplied out they are the dense sweep
         assert len(sweeps) == len(sampler.components)
+        full_sweeps = [unpack_table(t, nodes.size) for nodes, t in zip(sampler.components, sweeps)]
         assert np.array_equal(
-            product_table(a, sampler.components, sweeps), hafnian_all_subsets(a)
+            product_table(a, sampler.components, full_sweeps),
+            unpack_table(hafnian_all_subsets(a), a.shape[0]),
         )
         # each table is its component's c^|S| Haf^2, accumulated in mask order
         powers = encode(a, n_mean).c ** np.arange(a.shape[0] + 1, dtype=float)
-        for sweep, cum in zip(sweeps, tables):
-            sizes = np.bitwise_count(np.arange(sweep.size))
-            assert np.array_equal(cum, np.cumsum(sweep * sweep * powers[sizes]))
+        for nodes, sweep, cum in zip(sampler.components, sweeps, tables):
+            assert np.array_equal(cum, full_cumsum_at_packed(sweep, nodes.size, powers))
         _, _, weights = dense_support(a, n_mean)
         full_cum = np.cumsum(weights)
         for seed in (0, 1, 2, 3):
@@ -645,8 +662,29 @@ class TestSupport:
         powers = encode(a, n_mean).c ** np.arange(a.shape[0] + 1, dtype=float)
         for nodes, cum in zip(sampler.components, sampler.tables):
             h = hafnian_all_subsets(a[np.ix_(nodes, nodes)])
-            sizes = np.bitwise_count(np.arange(h.size))
-            assert np.array_equal(cum, np.cumsum(h * h * powers[sizes]))
+            assert np.array_equal(cum, full_cumsum_at_packed(h, nodes.size, powers))
+
+    def test_photon_counting_tables_keep_only_even_subsets(self):
+        # a 5-node and a 3-node component; a threshold table keeps every mask
+        a = graph_from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)])
+        assert [cum.size for cum in GraphSampler(a, 2.0).tables] == [1 << 4, 1 << 2]
+        threshold = GraphSampler(a, 2.0, MODE_THRESHOLD)
+        assert [cum.size for cum in threshold.tables] == [1 << 5, 1 << 3]
+
+    def test_table_build_peaks_near_the_packed_table(self):
+        # a connected 20-node graph's packed table is 8 << 19 bytes; the
+        # sweep adds a one-byte parity mask per two entries, the table pass
+        # only block-sized temporaries
+        a = np.ones((20, 20)) - np.eye(20)
+        GraphSampler(SINGLE_EDGE, 1.0).tables  # warm up lazy imports and state
+        sampler = GraphSampler(a, 5.0)
+        tracemalloc.start()
+        try:
+            sampler.tables
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * (8 << 19)
 
     def test_descent_never_takes_a_massless_half(self):
         # on path 0-1-2, once nodes 1 and 2 are in, node 0's bit-1 half
@@ -658,7 +696,8 @@ class TestSupport:
         u = np.array([np.nextafter(total, 0.0), total, total * (1 + 1e-12), 2 * total])
         picked = sampler._descend(u)
         masks = sum(
-            ((local[:, None] >> np.arange(nodes.size)) & 1) @ (1 << nodes)
+            ((packed_masks(nodes.size)[local][:, None] >> np.arange(nodes.size)) & 1)
+            @ (1 << nodes)
             for nodes, local in zip(sampler.components, picked)
         )
         assert np.all(weights[masks] > 0.0)

@@ -87,6 +87,40 @@ class TestFindDensestCandidate:
         batch = batch_of((0, 1), ())
         assert find_densest_candidate(batch, a, 3) is None
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matrix_scores_equal_graph_density_loop(self, data):
+        # l_min of 0 or 1 lets empty and one-node subsets through, which score 0
+        a = data.draw(binary_graphs(max_nodes=25))
+        m = a.shape[0]
+        subsets = data.draw(st.lists(st.sets(st.integers(0, m - 1)), min_size=1, max_size=40))
+        batch = batch_of(*subsets)
+        l_min = data.draw(st.integers(0, m))
+        found = find_densest_candidate(batch, a, l_min)
+        expected = densest_by_graph_density(batch, a, l_min)
+        assert found == expected
+        if found is not None:
+            assert np.float64(found[1]).tobytes() == np.float64(expected[1]).tobytes()
+
+    def test_out_of_range_node_rejected(self):
+        a = graph_from_edges(3, [(0, 1)])
+        for subset in [(0, 3), (-1, 0)]:
+            with pytest.raises(InvalidInputError, match="out of range"):
+                find_densest_candidate(batch_of(subset), a, 1)
+
+
+def densest_by_graph_density(batch, a, l_min):
+    """The candidate rule scored one subset at a time with ``graph_density``."""
+    keys = [
+        (-graph_density(a, subset), -len(subset), tuple(sorted(subset)))
+        for subset in batch.samples
+        if len(subset) >= l_min
+    ]
+    if not keys:
+        return None
+    best = min(keys)
+    return best[2], -best[0]
+
 
 class TestPostProcess:
     def test_ratio_prefers_small_tight_cluster(self):
