@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integer
 from .graph_core import PointSet
 from .qclust import Clustering, post_process
 
@@ -237,8 +237,7 @@ def dbscan(d: np.ndarray, eps: float, min_pts: int) -> DbscanResult:
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise InvalidInputError(f"eps must be finite and positive, got {eps}")
-    if min_pts < 1:
-        raise InvalidInputError("min_pts must be at least 1")
+    check_integer("min_pts", min_pts, 1)
     m = len(d)
     neighbors = [np.nonzero(d[i] <= eps)[0] for i in range(m)]
     core = np.array([len(nb) >= min_pts for nb in neighbors])

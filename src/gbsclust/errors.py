@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises one."""
+
+from numbers import Integral
 
 
 class GbsClustError(Exception):
@@ -23,3 +26,10 @@ class NoSolutionError(GbsClustError, ValueError):
 
 class NumericError(GbsClustError, ArithmeticError):
     """An internal numerical consistency check failed."""
+
+
+def check_integer(name: str, value, low: int) -> None:
+    """Raise InvalidInputError, naming ``name``, unless ``value`` is an
+    integer of at least ``low``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise InvalidInputError(f"{name} must be an integer of at least {low}, got {value!r}")

@@ -17,11 +17,12 @@ components of A: Haf(A_S) is the product of the hafnians of S's parts, and
 Tor(O_S) the product of their torontonians.  So each component is tabulated
 on its own lattice (a hafnian sweep, or a torontonian table at the c
 calibrated on the whole graph), and the product over the whole graph is
-never formed.  A photon-counting table keeps only the even subsets, half
-of the lattice, since an odd subset has no perfect matching.  A draw fixes
-the graph's bits from the highest down, reading each bit's two halves off
-the owning component's cumulative weights, which is the inverse CDF of the
-whole graph in mask order.
+never formed, so the enumeration bound applies to each component and never
+to the graph as a whole.  A photon-counting table keeps only the even
+subsets, half of the lattice, since an odd subset has no perfect matching.
+A draw fixes the graph's bits from the highest down, reading each bit's two
+halves off the owning component's cumulative weights, which is the inverse
+CDF of the whole graph in mask order.
 Nothing is kept between calls: the weight tables belong to the sampler that
 built them.
 
@@ -67,7 +68,6 @@ __all__ = [
     "encode",
     "subset_weight",
     "sample",
-    "subset_distribution",
     "probability_pnr",
 ]
 
@@ -125,6 +125,10 @@ class GbsEncoding:
 
     def __post_init__(self):
         max_nodes(self.mode)  # rejects an unknown mode
+        # NaN fails every comparison below, so it would pass them all
+        for name, value in (("c", self.c), ("n_mean", self.n_mean)):
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value!r}")
         if np.any((self.c * self.lam) ** 2 >= 1.0):
             raise InvalidInputError("rescaling violates c * lambda_max < 1")
         implied = _mean_photons(self.c, self.lam)
@@ -485,30 +489,6 @@ def sample(
     ):
         raise InvalidInputError("sampler was built for another graph, target or mode")
     return sampler.draw(n_samples, seed)
-
-
-def subset_distribution(a: np.ndarray, n_mean: float, mode: str = MODE_PNR) -> dict[tuple[int, ...], float]:
-    """Normalized subset probabilities, keyed by sorted node tuple.
-
-    Exposed for tests and diagnostics; zero-probability subsets are omitted.
-    The component weights are multiplied out over the whole graph, so the
-    graph itself must lie within the enumeration bound.
-    """
-    sampler = GraphSampler(a, n_mean, mode)
-    limit = max_nodes(mode)
-    if sampler.m > limit:
-        raise CapacityError(f"{sampler.m} nodes exceeds the {mode} enumeration bound {limit}")
-    masks = np.zeros(1, dtype=np.int64)
-    weights = np.ones(1)
-    for nodes, cum in zip(sampler.components, sampler.tables):
-        part = np.diff(cum, prepend=0.0)
-        index = np.flatnonzero(part)
-        local = _unpack(index) if mode == MODE_PNR else index
-        masks = (masks[:, None] | _bits(local, nodes.size) @ (1 << nodes)).ravel()
-        weights = np.multiply.outer(weights, part[index]).ravel()
-    subsets = _subsets(_bits(masks, sampler.m))
-    total = sampler.total
-    return {s: float(w / total) for s, w in zip(subsets, weights) if w > 0.0}
 
 
 def probability_pnr(a: np.ndarray, enc: GbsEncoding, pattern) -> float:

@@ -111,7 +111,7 @@ def build_adjacency(d: np.ndarray, d_tilde: float) -> np.ndarray:
     The inequality is strict, so pairs at exactly the threshold stay
     disconnected.  Output is a symmetric 0/1 float matrix, zero diagonal.
     """
-    if d_tilde <= 0:
+    if not d_tilde > 0:  # NaN fails every comparison; inf connects every pair
         raise InvalidInputError(f"distance threshold must be positive, got {d_tilde}")
     d = np.asarray(d, dtype=float)
     a = (d < d_tilde).astype(float)

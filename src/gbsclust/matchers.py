@@ -138,7 +138,9 @@ def hafnian_all_subsets(b: np.ndarray) -> np.ndarray:
 def hafnian_fast(b: np.ndarray) -> float:
     """Hafnian via the subset dynamic program; equals :func:`hafnian`.
 
-    Memory is O(2^(n-1)), so this is the production path up to n around 26.
+    Memory is O(2^(n-1)).  ``gbs_engine.subset_weight`` and
+    :func:`count_perfect_matchings` call it; the sampler's weight tables
+    call :func:`hafnian_all_subsets` directly.
     """
     b = _check_symmetric(b)
     if b.shape[0] % 2:

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import gbs_engine, graph_core
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integer
 from .gbs_engine import MODE_PNR, SampleBatch
 
 __all__ = [
@@ -75,8 +75,9 @@ class ClusterParams:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise InvalidInputError("n_samples must be at least 1")
+        check_integer("n_samples", self.n_samples, 1)
+        if self.seed is not None:
+            check_integer("seed", self.seed, 0)
         gbs_engine.max_nodes(self.mode)  # rejects an unknown mode
 
 
@@ -169,22 +170,18 @@ def post_process(
     index order against the cluster sizes as they were on entry, so the
     order of processing never changes a ratio denominator.
     """
+    nodes = sorted(int(n) for n in unclustered)
+    # column 0 stands for a singleton, so a row with no positive ratio picks it
+    ratio = np.zeros((len(nodes), len(clusters) + 1))
+    for cid, members in enumerate(clusters, start=1):
+        if members:
+            ratio[:, cid] = a[np.ix_(nodes, members)].sum(axis=1) / len(members)
     result = [list(c) for c in clusters]
-    base = [sorted(c) for c in clusters]
-    for node in sorted(int(n) for n in unclustered):
-        best_cid = None
-        best_ratio = 0.0
-        for cid, members in enumerate(base):
-            links = float(a[node, members].sum()) if members else 0.0
-            if links <= 0.0:
-                continue
-            ratio = links / len(members)
-            if best_cid is None or ratio > best_ratio:
-                best_cid, best_ratio = cid, ratio
-        if best_cid is None:
-            result.append([node])
+    for node, cid in zip(nodes, ratio.argmax(axis=1).tolist()):
+        if cid:
+            result[cid - 1].append(node)
         else:
-            result[best_cid].append(node)
+            result.append([node])
     return [sorted(c) for c in result if c]
 
 

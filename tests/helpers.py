@@ -5,8 +5,11 @@ the package, so the tests compare two genuinely different routes to the same
 value.  The exceptions are the earlier implementations kept verbatim as
 bit-identity references (``threshold_weights_by_combinations``,
 ``threshold_draws_whole_graph``, ``kmeans_pp_init_all_centroids``,
-``repair_empty_rescanning``, ``kmeans_per_restart``); they raise the
-package's error types.
+``repair_empty_rescanning``, ``kmeans_per_restart``, ``post_process_loop``),
+which raise the package's error types, and the readers of a sampler's
+per-component tables (``sampler_weights``, ``subset_probabilities``), which
+multiply them out over the whole graph with ``product_table`` so tests can
+check them against independent weights.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 import numpy as np
 
 from gbsclust.errors import InvalidInputError, NumericError
+from gbsclust.gbs_engine import MODE_PNR, GraphSampler
 
 
 def all_pairings(items):
@@ -200,6 +204,40 @@ def unpack_table(packed, n: int) -> np.ndarray:
     return full
 
 
+def product_table(a, components, tables):
+    """The whole graph's table over graph masks: per-component tables over
+    local masks, each gathered at its nodes' bits of every mask, multiplied;
+    a mask holding a node of no component (an isolated node) gets 0."""
+    masks = np.arange(1 << a.shape[0])
+    covered = sum(1 << int(node) for nodes in components for node in nodes)
+    product = np.where(masks & ~covered, 0.0, 1.0)
+    for nodes, table in zip(components, tables):
+        local = ((masks[:, None] >> nodes) & 1) @ (1 << np.arange(nodes.size))
+        product *= table[local]
+    return product
+
+
+def sampler_weights(sampler):
+    """The whole graph's weights as the sampler's component tables give them."""
+    parts = [np.diff(cum, prepend=0.0) for cum in sampler.tables]
+    if sampler.mode == MODE_PNR:
+        parts = [unpack_table(part, nodes.size) for nodes, part in zip(sampler.components, parts)]
+    return product_table(sampler.a, sampler.components, parts)
+
+
+def subset_probabilities(a, n_mean, mode=MODE_PNR):
+    """Normalized subset probabilities of ``GraphSampler(a, n_mean, mode)``,
+    keyed by sorted node tuple: ``sampler_weights`` over the sampler's total,
+    with the zero-weight subsets left out."""
+    sampler = GraphSampler(a, n_mean, mode)
+    weights = sampler_weights(sampler)
+    total = sampler.total
+    return {
+        tuple(i for i in range(sampler.m) if (mask >> i) & 1): float(weights[mask] / total)
+        for mask in np.flatnonzero(weights > 0.0).tolist()
+    }
+
+
 def calibrate_scaling_200_steps(lam: np.ndarray, n_mean: float) -> float:
     """Photon-budget rescaling c by a fixed 200-step bisection.
 
@@ -361,3 +399,30 @@ def kmeans_per_restart(
         if best is None or result[2] < best[2]:
             best = result
     return best
+
+
+def post_process_loop(unclustered, clusters, a) -> list[list[int]]:
+    """Leftover-node attachment, one (node, cluster) pair at a time.
+
+    The rule as it was before the link ratios were taken as one matrix:
+    each leftover node, ascending, joins the first cluster with the
+    largest positive edges(node, cluster) / |cluster| among the clusters
+    as they were on entry, or becomes a singleton.
+    """
+    result = [list(c) for c in clusters]
+    base = [sorted(c) for c in clusters]
+    for node in sorted(int(n) for n in unclustered):
+        best_cid = None
+        best_ratio = 0.0
+        for cid, members in enumerate(base):
+            links = float(a[node, members].sum()) if members else 0.0
+            if links <= 0.0:
+                continue
+            ratio = links / len(members)
+            if best_cid is None or ratio > best_ratio:
+                best_cid, best_ratio = cid, ratio
+        if best_cid is None:
+            result.append([node])
+        else:
+            result[best_cid].append(node)
+    return [sorted(c) for c in result if c]

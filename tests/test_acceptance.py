@@ -23,6 +23,7 @@ from helpers import (
     graph_from_edges,
     hafnian_bruteforce,
     pnr_support_masses,
+    subset_probabilities,
     total_variation_distance,
 )
 
@@ -131,7 +132,7 @@ def test_criterion_05_threshold_pnr_consistency():
             n_mean = 0.5
             enc = gbs_engine.encode(a, n_mean, mode=gbs_engine.MODE_THRESHOLD)
             masses = pnr_support_masses(a, enc.c, cutoff=8)
-            dist = gbs_engine.subset_distribution(a, n_mean, mode=gbs_engine.MODE_THRESHOLD)
+            dist = subset_probabilities(a, n_mean, mode=gbs_engine.MODE_THRESHOLD)
             ratios = []
             for support, mass in masses.items():
                 subset = tuple(sorted(support))

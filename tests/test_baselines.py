@@ -163,6 +163,13 @@ class TestDbscan:
         with pytest.raises(InvalidInputError):
             dbscan(d, eps=1.0, min_pts=0)
 
+    @pytest.mark.parametrize("min_pts", [float("nan"), 2.5, 2.0, True, "2"])
+    def test_non_integer_min_pts_rejected(self, min_pts):
+        # NaN fails min_pts < 1 and every core test, so all points were noise
+        d = compute_distance_matrix(pts([[0, 0], [0.001, 0], [5, 5]]))
+        with pytest.raises(InvalidInputError, match="min_pts must be an integer of at least 1"):
+            dbscan(d, eps=0.01, min_pts=min_pts)
+
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_eps_rejected(self, eps):
         # NaN fails every comparison, so a bare eps <= 0 check lets it through

@@ -118,6 +118,13 @@ class TestBuildAdjacency:
         with pytest.raises(InvalidInputError):
             build_adjacency(np.zeros((2, 2)), 0.0)
 
+    def test_nan_threshold_rejected(self):
+        # NaN fails d_tilde <= 0, and no distance lies below it
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+        with pytest.raises(InvalidInputError, match="must be positive, got nan"):
+            build_adjacency(d, float("nan"))
+        assert np.array_equal(build_adjacency(d, float("inf")), np.ones((3, 3)) - np.eye(3))
+
 
 class TestThresholdGraph:
     def test_percentile_and_explicit_threshold(self):

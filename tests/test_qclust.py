@@ -24,7 +24,7 @@ from gbsclust.qclust import (
     post_process,
 )
 
-from helpers import adjusted_rand_index, graph_from_edges
+from helpers import adjusted_rand_index, graph_from_edges, post_process_loop
 
 
 @st.composite
@@ -149,6 +149,26 @@ class TestPostProcess:
         clusters = post_process([0, 1, 2], [], a)
         assert clusters == [[0], [1], [2]]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=binary_graphs(max_nodes=12).flatmap(
+            lambda a: st.tuples(
+                st.just(a),
+                st.lists(st.integers(-1, 4), min_size=len(a), max_size=len(a)),
+                st.booleans(),
+            )
+        )
+    )
+    def test_matches_the_per_pair_loop(self, case):
+        # label -1 leaves a node over; an empty cluster and no cluster at
+        # all are legal, and equal ratios tie
+        a, labels, empty = case
+        clusters = [[i for i, g in enumerate(labels) if g == cid] for cid in range(5)]
+        clusters = [c for c in clusters if c] + ([[]] if empty else [])
+        leftover = [i for i, g in enumerate(labels) if g == -1]
+        expected = post_process_loop(leftover, clusters, a)
+        assert post_process(leftover, clusters, a) == expected
+
 
 class TestClusteringType:
     def test_partition_enforced(self):
@@ -168,6 +188,20 @@ class TestClusterParams:
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidInputError, match="unknown sampling mode"):
             ClusterParams(mode="bogus")
+
+    @pytest.mark.parametrize(
+        "field, value, low",
+        [("n_samples", 2.5, 1), ("n_samples", True, 1), ("n_samples", 0, 1),
+         ("seed", -1, 0), ("seed", 1.5, 0), ("seed", False, 0)],
+    )
+    def test_bad_count_or_seed_rejected(self, field, value, low):
+        # these failed only later, in numpy, with errors of numpy's own
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer of at least {low}"):
+            ClusterParams(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        params = ClusterParams(n_samples=np.int64(5), seed=np.uint32(3))
+        assert (params.n_samples, params.seed) == (5, 3)
 
 
 class TestGbsCluster:
