@@ -19,7 +19,6 @@ from .gbs_engine import (
     TakagiFactors,
     calibrate_scaling,
     encode,
-    probability_pnr,
     sample,
     subset_weight,
     takagi,

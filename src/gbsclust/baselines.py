@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, check_integer
+from .errors import InvalidInputError, check_integer, check_seed
 from .graph_core import PointSet
 from .qclust import Clustering, post_process
 
@@ -51,7 +51,7 @@ class KMeansResult:
     def to_clustering(self) -> Clustering:
         clusters = [np.nonzero(self.labels == c)[0].tolist() for c in range(self.k)]
         return Clustering(
-            clusters=[c for c in clusters if c],
+            clusters=clusters,
             n_points=self.labels.size,
             method="kmeans",
             params={"k": self.k},
@@ -151,7 +151,9 @@ def kmeans(
     """
     x = points.coords
     m, dim = x.shape
-    if not 1 <= k <= m:
+    check_integer("k", k, 1)
+    check_seed(seed)
+    if k > m:
         raise InvalidInputError(f"k must be in [1, {m}], got {k}")
     if seeding is None:
         centroids = _kmeans_pp_init_fits(x, k, _restart_rngs(seed))
@@ -208,8 +210,8 @@ def elbow_select_k(
     seeding, which are the ones seeding at k would pick.
     """
     m = len(points)
-    if k_max < 3:
-        raise InvalidInputError("elbow selection needs k_max >= 3")
+    check_integer("k_max", k_max, 3)
+    check_seed(seed)
     if k_max > m:
         raise InvalidInputError(f"k_max must not exceed the point count {m}")
     seeding = _kmeans_pp_init_fits(points.coords, k_max, _restart_rngs(seed))

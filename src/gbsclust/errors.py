@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check that
-raises one."""
+"""Exception types shared across the package, and the integer and seed
+checks that raise one."""
 
 from numbers import Integral
 
@@ -33,3 +33,10 @@ def check_integer(name: str, value, low: int) -> None:
     integer of at least ``low``; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
         raise InvalidInputError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """Raise InvalidInputError unless ``seed`` is None or an integer of at
+    least 0, the entropy a numpy SeedSequence takes."""
+    if seed is not None:
+        check_integer("seed", seed, 0)

@@ -25,10 +25,6 @@ halves off the owning component's cumulative weights, which is the inverse
 CDF of the whole graph in mask order.
 Nothing is kept between calls: the weight tables belong to the sampler that
 built them.
-
-``probability_pnr`` evaluates the full photon-number-resolved probability of
-an arbitrary pattern (repetitions allowed) and exists as the oracle that
-normalization and threshold-mode tests are checked against.
 """
 
 from __future__ import annotations
@@ -46,12 +42,13 @@ from .errors import (
     InvalidInputError,
     NoSolutionError,
     NumericError,
+    check_integer,
+    check_seed,
 )
 from .matchers import (
     _check_symmetric,
     hafnian_all_subsets,
     hafnian_fast,
-    hafnian_with_repeats,
     torontonian,
 )
 
@@ -68,7 +65,6 @@ __all__ = [
     "encode",
     "subset_weight",
     "sample",
-    "probability_pnr",
 ]
 
 MODE_PNR = "pnr_postselected"
@@ -141,12 +137,6 @@ class GbsEncoding:
             raise InvalidInputError(
                 f"c implies mean photons {implied!r}, expected {self.n_mean!r}"
             )
-
-    @property
-    def det_sigma_q(self) -> float:
-        """det(sigma_Q) of the pure encoded state: prod 1/(1 - (c lam_i)^2)."""
-        x = (self.c * self.lam) ** 2
-        return float(np.prod(1.0 / (1.0 - x)))
 
 
 @dataclass
@@ -413,8 +403,8 @@ class GraphSampler:
 
     def draw(self, n_samples: int, seed: int | None = None) -> SampleBatch:
         """Draw ``n_samples`` node subsets, reproducibly for an integer seed."""
-        if n_samples < 1:
-            raise InvalidInputError("need at least one sample")
+        check_integer("n_samples", n_samples, 1)
+        check_seed(seed)
         rng = np.random.default_rng(seed)
         u = rng.random(n_samples) * self.total
         if len(self.tables) == 1:
@@ -489,27 +479,3 @@ def sample(
     ):
         raise InvalidInputError("sampler was built for another graph, target or mode")
     return sampler.draw(n_samples, seed)
-
-
-def probability_pnr(a: np.ndarray, enc: GbsEncoding, pattern) -> float:
-    """Photon-number-resolved probability of an arbitrary output pattern.
-
-    Evaluates c^s Haf(A_pattern)^2 / (pattern! sqrt(det sigma_Q)) with the
-    matrix built by dropping silent modes and repeating row/column i by the
-    photon count n_i.  This is the oracle that anchors normalization and
-    threshold-mode consistency; it is not on the sampling path.
-    """
-    a = _check_symmetric(a)
-    pattern = tuple(int(p) for p in pattern)
-    if len(pattern) != a.shape[0]:
-        raise InvalidInputError("pattern length must match mode count")
-    if any(p < 0 for p in pattern):
-        raise InvalidInputError("photon counts must be nonnegative")
-    s = sum(pattern)
-    haf = hafnian_with_repeats(a, pattern)
-    pattern_factorial = 1.0
-    for p in pattern:
-        pattern_factorial *= math.factorial(p)
-    return float(
-        enc.c ** s * haf * haf / (pattern_factorial * math.sqrt(enc.det_sigma_q))
-    )

@@ -30,7 +30,6 @@ __all__ = [
     "hafnian",
     "hafnian_fast",
     "hafnian_all_subsets",
-    "hafnian_with_repeats",
     "count_perfect_matchings",
     "torontonian",
 ]
@@ -147,49 +146,6 @@ def hafnian_fast(b: np.ndarray) -> float:
         return 0.0
     # the last packed entry is the full set
     return float(hafnian_all_subsets(b)[-1])
-
-
-def hafnian_with_repeats(b: np.ndarray, counts) -> float:
-    """Hafnian of ``b`` with row/column i duplicated ``counts[i]`` times.
-
-    Equivalent to expanding the matrix explicitly and calling
-    :func:`hafnian`, but the recursion runs over multiplicity vectors, so
-    large photon patterns over few modes stay cheap (state space is the
-    product of counts+1, not 2^total).
-    """
-    b = _check_symmetric(b)
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != b.shape[0]:
-        raise InvalidInputError("counts length must match matrix dimension")
-    if any(c < 0 for c in counts):
-        raise InvalidInputError("repeat counts must be nonnegative")
-    if sum(counts) % 2:
-        return 0.0
-    memo: dict[tuple[int, ...], float] = {}
-
-    def rec(m: tuple[int, ...]) -> float:
-        if sum(m) == 0:
-            return 1.0
-        cached = memo.get(m)
-        if cached is not None:
-            return cached
-        i = next(k for k, c in enumerate(m) if c > 0)
-        rest = list(m)
-        rest[i] -= 1
-        total = 0.0
-        if rest[i] > 0 and b[i, i] != 0.0:
-            m2 = list(rest)
-            m2[i] -= 1
-            total += rest[i] * b[i, i] * rec(tuple(m2))
-        for j in range(i + 1, len(m)):
-            if rest[j] > 0 and b[i, j] != 0.0:
-                m2 = list(rest)
-                m2[j] -= 1
-                total += rest[j] * b[i, j] * rec(tuple(m2))
-        memo[m] = total
-        return total
-
-    return rec(counts)
 
 
 def count_perfect_matchings(a: np.ndarray) -> int:

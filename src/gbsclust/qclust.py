@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import gbs_engine, graph_core
-from .errors import InvalidInputError, check_integer
+from .errors import InvalidInputError, check_integer, check_seed
 from .gbs_engine import MODE_PNR, SampleBatch
 
 __all__ = [
@@ -76,8 +76,7 @@ class ClusterParams:
 
     def __post_init__(self):
         check_integer("n_samples", self.n_samples, 1)
-        if self.seed is not None:
-            check_integer("seed", self.seed, 0)
+        check_seed(self.seed)
         gbs_engine.max_nodes(self.mode)  # rejects an unknown mode
 
 
@@ -186,7 +185,11 @@ def post_process(
 
 
 def derive_seed(seed: int | None, *path: int) -> int:
-    """Child seed of ``seed`` at ``path``; a None seed uses the path alone."""
+    """Child seed of ``seed`` at ``path``; a None seed uses the path alone.
+    The seed and every path entry must be integers of at least 0."""
+    check_seed(seed)
+    for i, step in enumerate(path):
+        check_integer(f"path[{i}]", step, 0)
     entropy = [*path] if seed is None else [seed, *path]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 

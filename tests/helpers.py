@@ -105,25 +105,36 @@ class MultisetHafnian:
         return total
 
 
+def pnr_weight(haf: MultisetHafnian, c: float, pattern) -> float:
+    """Unnormalized photon-pattern probability c^s Haf(A_pattern)^2 / pattern!."""
+    h = haf.value(pattern)
+    return c ** sum(pattern) * h * h / math.prod(math.factorial(p) for p in pattern)
+
+
+def det_sigma_q(enc) -> float:
+    """det(sigma_Q) of the pure encoded state: prod 1/(1 - (c lam_i)^2)."""
+    return float(np.prod(1.0 / (1.0 - (enc.c * enc.lam) ** 2)))
+
+
+def pnr_probability(a: np.ndarray, enc, pattern) -> float:
+    """Photon-number-resolved probability of ``pattern`` (repeats allowed)
+    under encoding ``enc``: ``pnr_weight`` over sqrt(det sigma_Q)."""
+    return pnr_weight(MultisetHafnian(a), enc.c, pattern) / math.sqrt(det_sigma_q(enc))
+
+
 def pnr_support_masses(a: np.ndarray, c: float, cutoff: int) -> dict[frozenset, float]:
     """Photon-pattern probability mass per detector support, brute force.
 
-    Sums c^s Haf(A_pattern)^2 / pattern! over all patterns with every count
-    at most ``cutoff`` (the constant 1/sqrt(det sigma_Q) is left out, so the
-    result is an unnormalized mass per support).
+    Sums ``pnr_weight`` over all patterns with every count at most
+    ``cutoff`` (the constant 1/sqrt(det sigma_Q) is left out, so the result
+    is an unnormalized mass per support).
     """
-    m = a.shape[0]
     haf = MultisetHafnian(a)
     masses: dict[frozenset, float] = {}
-    for pattern in itertools.product(range(cutoff + 1), repeat=m):
-        h = haf.value(pattern)
-        if h == 0.0:
+    for pattern in itertools.product(range(cutoff + 1), repeat=a.shape[0]):
+        weight = pnr_weight(haf, c, pattern)
+        if weight == 0.0:
             continue
-        s = sum(pattern)
-        nfact = 1.0
-        for p in pattern:
-            nfact *= math.factorial(p)
-        weight = c ** s * h * h / nfact
         support = frozenset(i for i, p in enumerate(pattern) if p > 0)
         masses[support] = masses.get(support, 0.0) + weight
     return masses

@@ -71,6 +71,15 @@ class TestKMeans:
         with pytest.raises(InvalidInputError):
             kmeans(points, 0, seed=0)
 
+    @pytest.mark.parametrize(
+        "k, seed, problem",
+        [(2.5, 0, "k must be an integer of at least 1"), (True, 0, "k must be an integer"),
+         (2, -1, "seed must be an integer of at least 0"), (2, 1.5, "seed must be")],
+    )
+    def test_bad_count_or_seed_rejected(self, k, seed, problem):
+        with pytest.raises(InvalidInputError, match=problem):
+            kmeans(pts([[0, 0], [1, 1], [5, 5]]), k, seed=seed)
+
     def test_deterministic(self):
         points, _ = blobs([[0, 0], [5, 5], [10, 0]], size=4, spread=1.0, seed=7)
         r1 = kmeans(points, 3, seed=11)
@@ -88,6 +97,12 @@ class TestKMeans:
         points, _ = blobs([[0, 0], [8, 8]], size=6, spread=2.0, seed=3)
         clustering = kmeans(points, 3, seed=0).to_clustering()
         assert sorted(n for c in clustering.clusters for n in c) == list(range(12))
+
+    def test_unused_label_fails_the_partition(self):
+        # the repair leaves no cluster empty, so an empty one is a bug to surface
+        result = KMeansResult(np.zeros((3, 2)), np.array([0, 0, 2]), 0.0)
+        with pytest.raises(InvalidInputError, match="empty cluster"):
+            result.to_clustering()
 
 
 class TestElbow:
@@ -113,6 +128,15 @@ class TestElbow:
         points = pts([[0, 0], [1, 0], [10, 10]])
         with pytest.raises(InvalidInputError):
             elbow_select_k(points, 4, seed=0)
+
+    @pytest.mark.parametrize(
+        "k_max, seed, problem",
+        [(3.0, 0, "k_max must be an integer of at least 3"), (3, -1, "seed must be")],
+    )
+    def test_bad_count_or_seed_rejected(self, k_max, seed, problem):
+        points = pts([[0, 0], [1, 0], [10, 10]])
+        with pytest.raises(InvalidInputError, match=problem):
+            elbow_select_k(points, k_max, seed=seed)
 
 
 class TestDbscan:

@@ -23,7 +23,6 @@ from gbsclust.gbs_engine import (
     GraphSampler,
     calibrate_scaling,
     encode,
-    probability_pnr,
     sample,
     subset_weight,
     takagi,
@@ -32,8 +31,10 @@ from gbsclust.matchers import hafnian_all_subsets
 
 from helpers import (
     calibrate_scaling_200_steps,
+    det_sigma_q,
     graph_from_edges,
     hafnian_bruteforce,
+    pnr_probability,
     pnr_support_masses,
     product_table,
     sampler_weights,
@@ -161,7 +162,7 @@ class TestEncoding:
         enc = encode(SINGLE_EDGE, 1.0)
         # lam = (1, 1), c = 1/sqrt(3): det sigma_Q = (1/(1 - 1/3))^2
         assert enc.c == pytest.approx(1 / np.sqrt(3), abs=1e-12)
-        assert enc.det_sigma_q == pytest.approx(2.25, abs=1e-9)
+        assert det_sigma_q(enc) == pytest.approx(2.25, abs=1e-9)
 
     def test_inconsistent_encoding_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -327,6 +328,17 @@ class TestSample:
         with pytest.raises(InvalidInputError):
             sample(a, 1.0, 0)
 
+    @pytest.mark.parametrize(
+        "n_samples, seed, problem",
+        [(2.5, 0, "n_samples must be an integer of at least 1"), (True, 0, "n_samples"),
+         (5, -1, "seed must be an integer of at least 0"), (5, 1.5, "seed")],
+    )
+    def test_bad_count_or_seed_rejected(self, n_samples, seed, problem):
+        with pytest.raises(InvalidInputError, match=problem):
+            sample(SINGLE_EDGE, 1.0, n_samples, seed=seed)
+        with pytest.raises(InvalidInputError, match=problem):
+            GraphSampler(SINGLE_EDGE, 1.0).draw(n_samples, seed)
+
     def test_no_weight_table_outlives_the_call(self):
         sample(SINGLE_EDGE, 1.0, 10, seed=0)  # warm up lazy imports and state
         complete = np.ones((18, 18)) - np.eye(18)
@@ -413,19 +425,19 @@ class TestSample:
 class TestProbabilityPnr:
     def test_vacuum(self):
         enc = encode(SINGLE_EDGE, 1.0)
-        p = probability_pnr(SINGLE_EDGE, enc, (0, 0))
-        assert p == pytest.approx(1 / np.sqrt(enc.det_sigma_q), rel=1e-12)
+        p = pnr_probability(SINGLE_EDGE, enc, (0, 0))
+        assert p == pytest.approx(1 / np.sqrt(det_sigma_q(enc)), rel=1e-12)
 
     def test_single_pair_pattern(self):
         enc = encode(SINGLE_EDGE, 1.0)
-        p = probability_pnr(SINGLE_EDGE, enc, (1, 1))
-        assert p == pytest.approx(enc.c ** 2 / np.sqrt(enc.det_sigma_q), rel=1e-12)
+        p = pnr_probability(SINGLE_EDGE, enc, (1, 1))
+        assert p == pytest.approx(enc.c ** 2 / np.sqrt(det_sigma_q(enc)), rel=1e-12)
 
     def test_double_pair_pattern(self):
         # pattern (2, 2): repeated matrix has hafnian 2, pattern! = 4
         enc = encode(SINGLE_EDGE, 1.0)
-        p = probability_pnr(SINGLE_EDGE, enc, (2, 2))
-        expected = enc.c ** 4 * 4.0 / (4.0 * np.sqrt(enc.det_sigma_q))
+        p = pnr_probability(SINGLE_EDGE, enc, (2, 2))
+        expected = enc.c ** 4 * 4.0 / (4.0 * np.sqrt(det_sigma_q(enc)))
         assert p == pytest.approx(expected, rel=1e-12)
 
     def test_normalization_single_edge(self):
@@ -433,7 +445,7 @@ class TestProbabilityPnr:
         sums = []
         for cutoff in (2, 5, 10, 20):
             total = sum(
-                probability_pnr(SINGLE_EDGE, enc, (n1, n2))
+                pnr_probability(SINGLE_EDGE, enc, (n1, n2))
                 for n1 in range(cutoff + 1)
                 for n2 in range(cutoff + 1)
             )
@@ -450,10 +462,10 @@ class TestThresholdMode:
         enc = encode(a, 1.0, mode=MODE_THRESHOLD)
         assert enc.c == pytest.approx(1 / np.sqrt(2), abs=1e-12)
         click_weight = subset_weight(a, enc, (0,))
-        click_prob = click_weight / np.sqrt(enc.det_sigma_q)
+        click_prob = click_weight / np.sqrt(det_sigma_q(enc))
         enc_pnr = encode(a, 1.0)
         # (c lam)^2 = 1/2 decays slowly, so the tail needs a deep cutoff
-        tail = sum(probability_pnr(a, enc_pnr, (n,)) for n in range(1, 41))
+        tail = sum(pnr_probability(a, enc_pnr, (n,)) for n in range(1, 41))
         assert click_prob == pytest.approx(tail, rel=1e-4)
         assert click_prob == pytest.approx(1 - 1 / np.sqrt(2), rel=1e-12)
 

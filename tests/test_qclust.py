@@ -204,6 +204,24 @@ class TestClusterParams:
         assert (params.n_samples, params.seed) == (5, 3)
 
 
+class TestDeriveSeed:
+    @pytest.mark.parametrize(
+        "seed, path, problem",
+        [(-1, (0,), "seed must be an integer of at least 0"), (1.5, (0,), "seed must be"),
+         (0, (-1,), r"path\[0\] must be an integer of at least 0"), (0, (1, 2.5), r"path\[1\]"),
+         (None, (True,), r"path\[0\]")],
+    )
+    def test_bad_seed_or_path_rejected(self, seed, path, problem):
+        with pytest.raises(InvalidInputError, match=problem):
+            qclust.derive_seed(seed, *path)
+
+    def test_seed_sequence_words_accepted(self):
+        # the benchmark feeds 64-bit words back in as seeds
+        word = np.uint64(qclust.derive_seed(6, 0))
+        expected = np.random.SeedSequence([word, 2]).generate_state(1, np.uint64)[0]
+        assert qclust.derive_seed(word, 2) == int(expected)
+
+
 class TestGbsCluster:
     def test_three_cliques_recovered_exactly(self):
         points = three_cliques_points()
