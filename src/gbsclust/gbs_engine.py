@@ -16,7 +16,8 @@ reproducible from a seed.  Both weights factorize over the connected
 components of A: Haf(A_S) is the product of the hafnians of S's parts, and
 Tor(O_S) the product of their torontonians.  So each component is tabulated
 on its own lattice (a hafnian sweep, or a torontonian table at the c
-calibrated on the whole graph), and the product over the whole graph is
+calibrated on the whole graph, whose determinants come from one sweep that
+eliminates a node at a time), and the product over the whole graph is
 never formed, so the enumeration bound applies to each component and never
 to the graph as a whole.  A photon-counting table keeps only the even
 subsets, half of the lattice, since an odd subset has no perfect matching.
@@ -72,14 +73,16 @@ MODE_THRESHOLD = "threshold"
 
 # exact subset enumeration bounds per connected component of k nodes,
 # whose table holds 2^(k-1) weights in photon-counting mode (its even
-# subsets) and 2^k in threshold mode; threshold mode is tighter because
-# every subset of a component needs a pair of determinants rather than one
-# shared sweep
+# subsets) and 2^k in threshold mode; the threshold bound dates from when
+# each subset took its own pair of determinants, and is kept so that the
+# same graphs are accepted
 PNR_MAX_NODES = 26
 THRESHOLD_MAX_NODES = 20
 
 # entries per block of the photon-counting table build
 TABLE_BLOCK = 1 << 12
+# Schur complement entries per chunk of the threshold table build
+THRESHOLD_BLOCK = 1 << 17
 
 RECONSTRUCTION_RTOL = 1e-10
 CALIBRATION_ATOL = 1e-9
@@ -260,41 +263,85 @@ def _subsets(hits: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(nodes[s:e]) for s, e in zip([0, *ends], ends)]
 
 
-def _threshold_weights(a: np.ndarray, c: float) -> np.ndarray:
-    """Tor(O_S) for every subset mask, via batched determinants.
+def _eliminate(m: np.ndarray, view: np.ndarray, steps: int) -> np.ndarray:
+    """Decide the next ``steps`` nodes for a batch of prefixes.
 
-    Uses det(I - O_Z) = det(I - B_Z) det(I + B_Z) for the paired coupling
-    block of B = cA to get every subset's vacuum factor z(Z), then runs
-    inclusion-exclusion as a subset-difference (Moebius) transform in place:
-    for each bit, the masks with the bit set subtract their partner without
-    it, leaving sum over Z in S of (-1)^|S - Z| z(Z) at mask S.  B_Z takes
-    its rows and columns, ascending, from the bits of Z's mask.  Subsets of
-    size k go through the determinants in chunks of 2^20 / k^2 masks, so
-    each (chunk, k, k) stack holds about 8 MB whatever k is.
+    ``m`` has shape (2, P, r, r): for each of P prefixes (subsets of the
+    nodes decided so far), the Schur complements of I - B and of I + B on
+    the r undecided nodes.  ``view`` is the (2^r, P) view of the table
+    whose row 0 holds the P prefixes' determinant products.  Each step
+    decides the first undecided node: skipping it drops its row and
+    column, taking it multiplies the determinants by its pivots and
+    eliminates it by a rank-one update.  The taken prefixes go after the
+    skipped ones, so rows [2^j, 2^(j+1)) of ``view`` receive the products of
+    the prefixes that take node j of the batch.  Returns the complements
+    of the 2^steps P prefixes then decided.
+    """
+    for j in range(steps):
+        pivots = m[:, :, 0, 0]
+        # I - B and I + B are positive definite, so all their pivots are
+        # positive, exactly when the coupling is physical; NaN fails too
+        if not np.all(pivots > 0.0):
+            raise InvalidInputError("threshold coupling is not physical")
+        rows = 1 << j
+        np.multiply(view[:rows], (pivots[0] * pivots[1]).reshape(rows, -1),
+                    out=view[rows:2 * rows])
+        rest = m[:, :, 1:, 1:]
+        count = m.shape[1]
+        step = np.empty((2, 2 * count) + rest.shape[2:])
+        step[:, :count] = rest
+        taken = step[:, count:]
+        np.multiply(m[:, :, 1:, :1] / pivots[:, :, None, None], m[:, :, :1, 1:], out=taken)
+        np.subtract(rest, taken, out=taken)
+        m = step
+    return m
+
+
+def _threshold_weights(a: np.ndarray, c: float) -> np.ndarray:
+    """Tor(O_S) for every subset mask, by eliminating one node at a time.
+
+    Uses det(I - O_S) = det(I - B_S) det(I + B_S) for the paired coupling
+    block of B = cA.  Nodes are decided in ascending order, and every
+    subset of the nodes decided so far (a prefix) keeps the Schur
+    complements of I - B and I + B on the undecided nodes, so entry S of
+    the table receives the product of S's pivots, det(I - B_S) det(I + B_S),
+    and every subset shares the work of its prefixes (see ``_eliminate``).
+    Each entry is then turned into the vacuum factor z(S) = 1 / sqrt of
+    itself in place, and inclusion-exclusion runs as a subset-difference
+    (Moebius) transform in place: for each bit, the masks with the bit set
+    subtract their partner without it, leaving sum over Z in S of
+    (-1)^|S - Z| z(Z) at mask S.
+
+    All prefixes advance together up to the last level i whose complements
+    fit in ``THRESHOLD_BLOCK`` entries.  From there the prefixes are
+    finished in chunks, each filling its columns of the table seen as
+    2^(n - i) rows of 2^i prefixes, and sized so that up to
+    ``THRESHOLD_MAX_NODES`` nodes no chunk holds more complement entries
+    than that either.  A taken node with no coupling inside S has pivots
+    1.0 and leaves the complement on S's other nodes as it was, so z(S)
+    equals z(S - {v}) bit for bit and the transform leaves exactly 0.0 at S.
     """
     n = a.shape[0]
     b = c * a
+    eye = np.eye(n)
     z = np.empty(1 << n)
     z[0] = 1.0
-    pc = np.bitwise_count(np.arange(1 << n))
-    for k in range(1, n + 1):
-        masks = np.flatnonzero(pc == k)
-        eye = np.eye(k)
-        step = max(1, (1 << 20) // (k * k))
-        for s in range(0, masks.size, step):
-            chunk = masks[s:s + step]
-            idx = np.nonzero(_bits(chunk, n))[1].reshape(-1, k)
-            sub = b[idx[:, :, None], idx[:, None, :]]
-            dets = np.linalg.det(eye - sub) * np.linalg.det(eye + sub)
-            if np.any(dets <= 0.0):
-                raise InvalidInputError("threshold coupling is not physical")
-            z[chunk] = 1.0 / np.sqrt(dets)
+    # complement entries per level i: 2 signs, 2^i prefixes, (n - i)^2
+    entries = [(n - i) ** 2 << (i + 1) for i in range(n + 1)]
+    split = next((i for i, e in enumerate(entries) if e > THRESHOLD_BLOCK), n + 1) - 1
+    m = _eliminate(np.stack([eye - b, eye + b])[:, None], z.reshape(-1, 1), split)
+    chunk = max(1, (THRESHOLD_BLOCK << split) // max(1, *entries[split:]))
+    columns = z.reshape(-1, 1 << split)
+    for s in range(0, 1 << split, chunk):
+        _eliminate(m[:, s:s + chunk], columns[:, s:s + chunk], n - split)
+    np.sqrt(z, out=z)
+    np.divide(1.0, z, out=z)
     for bit in range(n):
         view = z.reshape(-1, 2, 1 << bit)
         view[:, 1, :] -= view[:, 0, :]
     # inclusion-exclusion cancellation leaves float dust around zero
     floor = float(z.min())
-    if floor < -1e-8 * max(1.0, float(z.max())):
+    if floor < -1e-11 * max(1.0, float(z.max())):
         raise NumericError(f"threshold weight went negative: {floor:.3e}")
     np.clip(z, 0.0, None, out=z)
     return z
@@ -309,7 +356,8 @@ class GraphSampler:
     ``a`` for ``n_mean`` photons (c is calibrated on the whole graph) and
     tabulates every component of two or more nodes, raising
     DegenerateGraphError for an all-zero matrix: a hafnian sweep in
-    photon-counting mode, a torontonian table in threshold mode.  Each
+    photon-counting mode, a node-elimination sweep and its torontonian
+    (Moebius) transform in threshold mode.  Each
     table is kept as the cumulative weights of the component's subsets in
     local mask order (local bit b is node ``components[k][b]``).  A k-node
     threshold table has 2^k entries, one per mask.  A photon-counting table

@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gbsclust import baselines, bench, gbs_engine, graph_core, matchers, metrics, qclust
+from gbsclust import bench, gbs_engine, graph_core, matchers, metrics, qclust
 from gbsclust.cli import main as cli_main
 
 from helpers import (
     adjusted_rand_index,
-    count_matchings_bruteforce,
     graph_from_edges,
     hafnian_bruteforce,
     pnr_probability,

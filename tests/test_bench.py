@@ -9,7 +9,6 @@ from click.testing import CliRunner
 from gbsclust.bench import (
     BenchConfig,
     BenchReport,
-    BenchRow,
     emit_report,
     generate_dataset,
     run_benchmark,

@@ -27,6 +27,7 @@ from gbsclust.gbs_engine import (
     subset_weight,
     takagi,
 )
+from gbsclust.graph_core import connected_components
 from gbsclust.matchers import hafnian_all_subsets
 
 from helpers import (
@@ -793,9 +794,10 @@ def _torontonian_table_mp(mpmath, a, c):
 
 
 @st.composite
-def threshold_couplings(draw):
-    """A 0/1 or weighted symmetric graph of 1-12 nodes and a physical c."""
-    n = draw(st.integers(1, 12))
+def threshold_couplings(draw, max_nodes=12):
+    """A 0/1 or weighted symmetric graph of 1 to ``max_nodes`` nodes and a
+    physical c."""
+    n = draw(st.integers(1, max_nodes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = np.triu(rng.random((n, n)) < draw(st.floats(0.0, 1.0)), 1).astype(float)
     if draw(st.booleans()):
@@ -804,6 +806,16 @@ def threshold_couplings(draw):
     lam_max = float(np.abs(np.linalg.eigvalsh(a)).max())
     scale = draw(st.floats(0.05, 0.95))
     return a, scale / lam_max if lam_max > 0.0 else scale
+
+
+def connected_gnp(n, p, seed):
+    """The first connected G(n, p) graph drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    while True:
+        a = np.triu(rng.random((n, n)) < p, 1).astype(float)
+        a = a + a.T
+        if len(connected_components(a)) == 1:
+            return a
 
 
 class TestMaskRoutes:
@@ -820,23 +832,82 @@ class TestMaskRoutes:
         ]
         assert gbs_engine._subsets(gbs_engine._bits(masks[:0], 26)) == []
 
+
+class TestThresholdSweep:
+    """The threshold table's node-elimination sweep against batched
+    determinants, mpmath, and the zeros and bounds the physics fixes."""
+
     @settings(max_examples=80, deadline=None)
     @given(threshold_couplings())
-    def test_threshold_weights_equal_combination_route(self, case):
+    def test_weights_agree_with_combination_route(self, case):
         a, c = case
-        assert np.array_equal(
-            gbs_engine._threshold_weights(a, c),
-            threshold_weights_by_combinations(a, c),
+        reference = threshold_weights_by_combinations(a, c)
+        assert np.allclose(
+            gbs_engine._threshold_weights(a, c), reference, rtol=0.0, atol=1e-12 * reference.sum()
         )
 
-    def test_threshold_weights_equal_combination_route_across_chunks(self):
-        # chunks hold 2^20 / k^2 masks, so the largest size class of 19
-        # nodes, C(19, 9) = 92378 subsets, spans eight 12945-mask chunks
+    def test_weights_agree_with_combination_route_across_chunks(self):
+        # at 19 nodes the complements pass THRESHOLD_BLOCK entries at level
+        # 10, so level 9's 512 prefixes finish in chunks of 56, the last of 8
         rng = np.random.default_rng(19)
         a = np.triu(rng.random((19, 19)) < 0.3, 1).astype(float)
         a = a + a.T
         c = 0.8 / float(np.abs(np.linalg.eigvalsh(a)).max())
-        assert np.array_equal(
-            gbs_engine._threshold_weights(a, c),
-            threshold_weights_by_combinations(a, c),
+        reference = threshold_weights_by_combinations(a, c)
+        assert np.allclose(
+            gbs_engine._threshold_weights(a, c), reference, rtol=0.0, atol=1e-12 * reference.sum()
         )
+
+    @settings(max_examples=20, deadline=None)
+    @given(threshold_couplings(max_nodes=8))
+    def test_weights_within_rounding_of_mpmath(self, case):
+        mpmath = pytest.importorskip("mpmath")
+        a, c = case
+        with mpmath.workdps(30):
+            reference = np.array([float(w) for w in _torontonian_table_mp(mpmath, a, c)])
+        error = np.abs(gbs_engine._threshold_weights(a, c) - reference)
+        assert error.max() <= 1e-13 * reference.sum()
+
+    @pytest.mark.parametrize("a, c", [
+        # det(I - B) = det(I + B) = -1.25: their product is positive
+        (SINGLE_EDGE, 1.5),
+        # one sign fails: det(I - B) = -0.5, then det(I + B) = -0.5
+        (np.array([[2.0]]), 0.75),
+        (np.array([[-2.0]]), 0.75),
+    ])
+    def test_nonpositive_pivot_of_either_sign_is_not_physical(self, a, c):
+        with pytest.raises(InvalidInputError, match="not physical"):
+            gbs_engine._threshold_weights(a, c)
+
+    @settings(max_examples=80, deadline=None)
+    @given(threshold_couplings())
+    def test_node_without_coupling_inside_the_subset_weighs_exactly_zero(self, case):
+        a, c = case
+        n = a.shape[0]
+        masks = np.arange(1 << n)
+        neighbours = (a != 0.0) @ (1 << np.arange(n))
+        lonely = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+        lonely &= (masks[:, None] & neighbours) == 0
+        weights = gbs_engine._threshold_weights(a, c)
+        assert np.all(weights[lonely.any(axis=1)] == 0.0)
+
+    @pytest.mark.parametrize("p", [0.2, 0.4, 0.7])
+    def test_twenty_node_tables_pass_the_floor_check(self, p):
+        # the table build raises NumericError below -1e-11 of its largest
+        # entry; the lattice's total mass is 1 / sqrt(det(I - O))
+        a = connected_gnp(20, p, 20)
+        sampler = GraphSampler(a, 10.0, MODE_THRESHOLD)
+        cl = encode(a, 10.0, MODE_THRESHOLD).c * np.linalg.eigvalsh(a)
+        assert sampler.total == pytest.approx(np.prod(1.0 / np.sqrt(1.0 - cl * cl)), rel=1e-12)
+
+    def test_twenty_node_table_peak_memory(self):
+        # at most 2.5x the 8 MiB table
+        a = connected_gnp(20, 0.4, 20)
+        c = encode(a, 10.0, MODE_THRESHOLD).c
+        tracemalloc.start()
+        try:
+            gbs_engine._threshold_weights(a, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 << 20

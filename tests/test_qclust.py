@@ -24,7 +24,7 @@ from gbsclust.qclust import (
     post_process,
 )
 
-from helpers import adjusted_rand_index, graph_from_edges, post_process_loop
+from helpers import graph_from_edges, post_process_loop
 
 
 @st.composite
