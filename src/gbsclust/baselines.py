@@ -4,11 +4,13 @@ Both are written for small benchmark datasets (tens of points) with fully
 deterministic tie-breaking, so benchmark rows are reproducible bit for bit.
 k-means uses k-means++ seeding, Lloyd iterations, empty-cluster repair by
 stealing the farthest point from the largest cluster, and keeps the best of
-10 restarts by inertia.  The restarts advance together as arrays, each with
-its own generator, and every fit is bit for bit the one it would be alone.
-The elbow seeds each dataset once, at k_max: k-means++ at k makes the
-draws of the first k steps at any larger k, so every k starts from a
-prefix of that one seeding and fits exactly as if it had seeded itself.
+10 restarts by inertia.  One Lloyd loop runs a batch of fits as arrays, each
+fit with its own k and its own generator, and every fit is bit for bit the
+one it would be alone: ``kmeans`` runs its 10 restarts as one batch, and the
+elbow all k_max x 10 fits of k = 1..k_max.  The elbow seeds each dataset
+once, at k_max: k-means++ at k makes the draws of the first k steps at any
+larger k, so every k starts from a prefix of that one seeding and fits
+exactly as if it had seeded itself.
 DBSCAN uses brute-force neighbor scans with closed neighborhoods (a point
 counts itself), and its noise points can be folded back into clusters with
 the same connectivity-ratio post-processing the GBS driver uses.
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, check_integer, check_seed
-from .graph_core import PointSet
+from .graph_core import PointSet, check_distances
 from .qclust import Clustering, post_process
 
 __all__ = [
@@ -64,10 +66,21 @@ class DbscanResult:
     noise: list[int]
 
 
+def _squared_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distance of every point to every centroid, shape (..., M, k);
+    ``centroids`` may lead with a fit axis.  The coordinates add one by one,
+    so 2-D points get the bits of ``((x - c) ** 2).sum(axis=-1)`` without
+    its slow reduction over an axis of two."""
+    d2 = (x[:, 0, None] - centroids[..., None, :, 0]) ** 2
+    for j in range(1, x.shape[1]):
+        d2 += (x[:, j, None] - centroids[..., None, :, j]) ** 2
+    return d2
+
+
 def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest centroid of every point; ``centroids`` may lead with a fit axis."""
-    d2 = ((x[:, None, :] - centroids[..., None, :, :]) ** 2).sum(axis=-1)
-    return d2.argmin(axis=-1)  # argmin takes the lowest centroid index on ties
+    # argmin takes the lowest centroid index on ties
+    return _squared_distances(x, centroids).argmin(axis=-1)
 
 
 def _kmeans_pp_init_fits(
@@ -85,15 +98,16 @@ def _kmeans_pp_init_fits(
     # squared distance of every point to its fit's nearest chosen centroid
     d2 = np.full((len(rngs), m), np.inf)
     for step in range(1, k):
-        d2 = np.minimum(d2, ((x - x[chosen[:, step - 1], None, :]) ** 2).sum(axis=-1))
+        d2 = np.minimum(d2, _squared_distances(x, x[chosen[:, step - 1], None, :])[..., 0])
         total = d2.sum(axis=1)
         if not np.isfinite(total).all():
             raise InvalidInputError("squared distances overflow in k-means++ seeding")
         draw = total > 0.0
         cdf = np.cumsum(d2[draw] / total[draw, None], axis=1)
         cdf = cdf / cdf[:, -1:]
-        for row, fit in zip(cdf, np.flatnonzero(draw)):
-            chosen[fit, step] = np.count_nonzero(row <= rngs[fit].random())
+        drawn = np.flatnonzero(draw)
+        u = np.array([rngs[fit].random() for fit in drawn])
+        chosen[drawn, step] = np.count_nonzero(cdf <= u[:, None], axis=1)
         for fit in np.flatnonzero(~draw):
             # all remaining points coincide with a centroid; pick lowest new index
             chosen[fit, step] = next(i for i in range(m) if i not in chosen[fit, :step])
@@ -101,26 +115,28 @@ def _kmeans_pp_init_fits(
 
 
 def _repair_empty(
-    x: np.ndarray, centroids: np.ndarray, labels: np.ndarray
+    x: np.ndarray, centroids: np.ndarray, labels: np.ndarray, ks: np.ndarray
 ) -> np.ndarray:
     """Move, in place, the farthest point of the largest cluster into each
-    empty cluster of every fit; returns which fits were repaired.  A donor
-    always keeps a point, so the empty clusters are known up front."""
-    fits, k = centroids.shape[:2]
-    cells = np.arange(fits)[:, None] * k + labels
-    sizes = np.bincount(cells.ravel(), minlength=fits * k).reshape(fits, k)
-    repaired = (sizes == 0).any(axis=1)
+    empty cluster of every fit, fit f owning the first ``ks[f]`` centroid
+    slots; returns which fits were repaired.  A donor always keeps a point,
+    so the empty clusters are known up front."""
+    fits, slots = centroids.shape[:2]
+    cells = np.arange(fits)[:, None] * slots + labels
+    sizes = np.bincount(cells.ravel(), minlength=fits * slots).reshape(fits, slots)
+    empty = (sizes == 0) & (np.arange(slots) < ks[:, None])
+    repaired = empty.any(axis=1)
     for fit in np.flatnonzero(repaired):
         fit_sizes, fit_labels, fit_centroids = sizes[fit], labels[fit], centroids[fit]
-        for empty in np.flatnonzero(fit_sizes == 0):
+        for cluster in np.flatnonzero(empty[fit]):
             donor = int(fit_sizes.argmax())
             members = np.nonzero(fit_labels == donor)[0]
             dist = ((x[members] - fit_centroids[donor]) ** 2).sum(axis=1)
             steal = int(members[dist.argmax()])
-            fit_labels[steal] = empty
+            fit_labels[steal] = cluster
             fit_sizes[donor] -= 1
-            fit_sizes[empty] += 1
-            fit_centroids[empty] = x[steal]
+            fit_sizes[cluster] += 1
+            fit_centroids[cluster] = x[steal]
     return repaired
 
 
@@ -132,57 +148,45 @@ def _restart_rngs(seed: int | None) -> list[np.random.Generator]:
     ]
 
 
-def kmeans(
-    points: PointSet,
-    k: int,
-    seed: int | None = None,
-    *,
-    seeding: np.ndarray | None = None,
-) -> KMeansResult:
-    """Lloyd's k-means with k-means++ seeding, best of 10 restarts.
+def _lloyd(
+    x: np.ndarray, seeding: np.ndarray, ks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd's iterations of a batch of fits, fit f starting from the first
+    ``ks[f]`` centroids of ``seeding[f]``; returns every fit's centroids,
+    labels and inertia.
 
-    Iterates until assignments stop changing or 300 rounds; empty clusters
-    are repaired by stealing the farthest point from the largest cluster.
-    The restarts advance together as arrays; each keeps its own generator
-    and drops out once its labels stop changing, so every fit is the one
-    it would be if run alone.  ``seeding``, an ``(N_RESTARTS, >= k, dim)``
-    k-means++ seeding from ``seed``'s generators, replaces the fit's own:
-    its first k centroids per restart are the ones seeding at k would pick.
+    The fits advance together as arrays, and each drops out once its labels
+    stop changing, or after 300 rounds.  A fit's slots at or past its k
+    hold +inf, so they are never nearest, never repaired and never divided
+    by their empty count, and each fit is the one it would be alone: a
+    cluster's bincount adds its members in point order, as mean() does.
     """
-    x = points.coords
-    m, dim = x.shape
-    check_integer("k", k, 1)
-    check_seed(seed)
-    if k > m:
-        raise InvalidInputError(f"k must be in [1, {m}], got {k}")
-    if seeding is None:
-        centroids = _kmeans_pp_init_fits(x, k, _restart_rngs(seed))
-    else:
-        shape = seeding.shape
-        if len(shape) != 3 or shape[0] != N_RESTARTS or shape[1] < k or shape[2] != dim:
-            raise InvalidInputError(
-                f"seeding must have shape ({N_RESTARTS}, >= {k}, {dim}), got {shape}"
-            )
-        centroids = seeding[:, :k].copy()  # repairs write centroids in place
+    n_fits, slots, dim = seeding.shape
+    real = np.arange(slots) < ks[:, None]
+    centroids = np.where(real[..., None], seeding, np.inf)
     labels = _assign(x, centroids)
-    _repair_empty(x, centroids, labels)
-    inertia = np.full(N_RESTARTS, np.inf)
-    active = np.arange(N_RESTARTS)
+    _repair_empty(x, centroids, labels, ks)
+    inertia = np.full(n_fits, np.inf)
+    active = np.arange(n_fits)
     for _ in range(MAX_LLOYD_ITERATIONS):
         fits = active.size
         old_labels = labels[active]
-        # bincount adds each cluster's members in point order, as mean() does;
-        # repaired labels leave no cluster empty
-        cells = (np.arange(fits)[:, None] * k + old_labels).ravel()
-        counts = np.bincount(cells, minlength=fits * k)
-        sums = [
-            np.bincount(cells, weights=np.tile(x[:, j], fits), minlength=fits * k)
-            for j in range(dim)
-        ]
-        fit_centroids = np.stack(sums, axis=-1) / counts[:, None]
-        fit_centroids = fit_centroids.reshape(fits, k, dim)
+        cells = (np.arange(fits)[:, None] * slots + old_labels).ravel()
+        counts = np.bincount(cells, minlength=fits * slots)
+        sums = np.stack(
+            [
+                np.bincount(cells, weights=np.tile(x[:, j], fits), minlength=fits * slots)
+                for j in range(dim)
+            ],
+            axis=-1,
+        )
+        # only real slots are divided, and repaired labels leave none empty
+        used = real[active].ravel()
+        fit_centroids = np.full((fits * slots, dim), np.inf)
+        fit_centroids[used] = sums[used] / counts[used, None]
+        fit_centroids = fit_centroids.reshape(fits, slots, dim)
         new_labels = _assign(x, fit_centroids)
-        repaired = _repair_empty(x, fit_centroids, new_labels)
+        repaired = _repair_empty(x, fit_centroids, new_labels, ks[active])
         diff = x - fit_centroids[np.arange(fits)[:, None], new_labels]
         fit_inertia = (diff**2).reshape(fits, -1).sum(axis=1)
         # Lloyd steps never increase inertia; repairs may, transiently
@@ -194,8 +198,48 @@ def kmeans(
         active = active[~(new_labels == old_labels).all(axis=1)]
         if active.size == 0:
             break
+    return centroids, labels, inertia
+
+
+def kmeans(points: PointSet, k: int, seed: int | None = None) -> KMeansResult:
+    """Lloyd's k-means with k-means++ seeding, best of 10 restarts.
+
+    Iterates until assignments stop changing or 300 rounds; empty clusters
+    are repaired by stealing the farthest point from the largest cluster.
+    The restarts advance together as arrays; each keeps its own generator
+    and drops out once its labels stop changing, so every fit is the one
+    it would be if run alone.
+    """
+    x = points.coords
+    m = x.shape[0]
+    check_integer("k", k, 1)
+    check_seed(seed)
+    if k > m:
+        raise InvalidInputError(f"k must be in [1, {m}], got {k}")
+    seeding = _kmeans_pp_init_fits(x, k, _restart_rngs(seed))
+    centroids, labels, inertia = _lloyd(x, seeding, np.full(N_RESTARTS, k))
     best = int(np.argmin(inertia))  # the first restart among equal inertias
     return KMeansResult(centroids[best], labels[best], float(inertia[best]))
+
+
+def _fit_every_k(x: np.ndarray, k_max: int, seed: int | None) -> list[KMeansResult]:
+    """``kmeans(points, k, seed)`` for k = 1..k_max, as one Lloyd batch.
+
+    The restarts are seeded once, at k_max: k-means++ at k makes the draws
+    of the first k steps at any larger k, so each k starts from the first
+    k centroids of that seeding, the ones seeding at k would pick.  All
+    k_max x 10 fits then run together, and each k keeps its first restart
+    with the least inertia.
+    """
+    seeding = _kmeans_pp_init_fits(x, k_max, _restart_rngs(seed))
+    ks = np.repeat(np.arange(1, k_max + 1), N_RESTARTS)
+    centroids, labels, inertia = _lloyd(x, np.tile(seeding, (k_max, 1, 1)), ks)
+    # argmin takes the first restart among equal inertias
+    best = np.arange(0, ks.size, N_RESTARTS) + inertia.reshape(k_max, -1).argmin(axis=1)
+    return [
+        KMeansResult(centroids[fit, :k], labels[fit], float(inertia[fit]))
+        for k, fit in enumerate(best.tolist(), start=1)
+    ]
 
 
 def elbow_select_k(
@@ -205,19 +249,15 @@ def elbow_select_k(
 
     Fits k = 1..k_max and returns the fit at the interior k where the
     improvement flattens the most, i.e. the largest second difference of
-    the inertia; ties go to the smaller k.  The restarts are seeded once,
-    at k_max, and each k starts from the first k centroids of that
-    seeding, which are the ones seeding at k would pick.
+    the inertia; ties go to the smaller k.  Every k's fit is
+    ``kmeans(points, k, seed)``, all of them made in one batch.
     """
     m = len(points)
     check_integer("k_max", k_max, 3)
     check_seed(seed)
     if k_max > m:
         raise InvalidInputError(f"k_max must not exceed the point count {m}")
-    seeding = _kmeans_pp_init_fits(points.coords, k_max, _restart_rngs(seed))
-    fits = {
-        k: kmeans(points, k, seed=seed, seeding=seeding) for k in range(1, k_max + 1)
-    }
+    fits = [None, *_fit_every_k(points.coords, k_max, seed)]  # fits[k] is at k
     best_k, best_curve = None, -np.inf
     for k in range(2, k_max):
         curve = fits[k - 1].inertia - 2.0 * fits[k].inertia + fits[k + 1].inertia
@@ -231,15 +271,17 @@ def dbscan(d: np.ndarray, eps: float, min_pts: int) -> DbscanResult:
     """Density-reachability clustering with brute-force neighbor scans.
 
     ``d`` is the points' (M, M) matrix from
-    ``graph_core.compute_distance_matrix``, trusted as given.  A point is
-    core when its closed eps-neighborhood (itself included) holds at least
-    ``min_pts`` points.  Clusters are grown from core points in ascending
-    index order; border points join the first cluster that reaches them;
-    anything unreachable is noise.
+    ``graph_core.compute_distance_matrix``; ``check_distances`` rejects one
+    that is no distance matrix.  A point is core when its closed
+    eps-neighborhood (itself included) holds at least ``min_pts`` points.
+    Clusters are grown from core points in ascending index order; border
+    points join the first cluster that reaches them; anything unreachable
+    is noise.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise InvalidInputError(f"eps must be finite and positive, got {eps}")
     check_integer("min_pts", min_pts, 1)
+    d = check_distances(d)
     m = len(d)
     neighbors = [np.nonzero(d[i] <= eps)[0] for i in range(m)]
     core = np.array([len(nb) >= min_pts for nb in neighbors])

@@ -24,6 +24,7 @@ __all__ = [
     "build_adjacency",
     "threshold_graph",
     "check_adjacency",
+    "check_distances",
     "graph_density",
     "induced_subgraph",
     "edge_counts",
@@ -158,6 +159,24 @@ def check_adjacency(a: np.ndarray) -> np.ndarray:
     if not np.isin(a, (0.0, 1.0)).all():
         raise InvalidInputError("adjacency entries must be 0 or 1")
     return a
+
+
+def check_distances(d: np.ndarray) -> np.ndarray:
+    """Validate a distance matrix: square, finite, symmetric, zero diagonal,
+    nonnegative.  ``pairwise_distances`` meets each exactly: x_i - x_j and
+    x_j - x_i square to the same bits."""
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise InvalidInputError(f"distance matrix must be square, got shape {d.shape}")
+    if not np.isfinite(d).all():
+        raise InvalidInputError("distances must be finite, got NaN or inf")
+    if not np.array_equal(d, d.T):
+        raise InvalidInputError("distance matrix must be symmetric")
+    if np.any(np.diag(d) != 0.0):
+        raise InvalidInputError("distance matrix must have a zero diagonal")
+    if np.any(d < 0.0):
+        raise InvalidInputError("distances must be nonnegative")
+    return d
 
 
 def _subset_array(a: np.ndarray, subset) -> np.ndarray:

@@ -18,8 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInputError
+from .graph_core import check_distances, edge_counts
+
 # compute_distance_matrix and graph_density are re-exported for the benchmark tracer
-from .graph_core import compute_distance_matrix, edge_counts, graph_density  # noqa: F401
+from .graph_core import compute_distance_matrix, graph_density  # noqa: F401
 from .qclust import Clustering
 
 __all__ = [
@@ -50,6 +53,11 @@ def silhouette(d: np.ndarray, clustering: Clustering) -> float:
     """Mean silhouette over points, from their (M, M) distance matrix ``d``;
     singleton members contribute 0, and a one-cluster partition, where no
     point has another cluster, scores 0."""
+    d = check_distances(d)
+    if len(d) != clustering.n_points:
+        raise InvalidInputError(
+            f"distance matrix covers {len(d)} points, the clustering {clustering.n_points}"
+        )
     if len(clustering.clusters) == 1:
         return 0.0
     labels = clustering.labels

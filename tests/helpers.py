@@ -415,6 +415,21 @@ def kmeans_per_restart(
     return best
 
 
+def elbow_per_restart(
+    x: np.ndarray, k_max: int, seed: int | None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The elbow's fit from ``kmeans_per_restart`` at every k = 1..k_max:
+    the interior k with the largest second difference of the inertia,
+    ties to the smaller k."""
+    fits = {k: kmeans_per_restart(x, k, seed) for k in range(1, k_max + 1)}
+    best_k, best_curve = None, -np.inf
+    for k in range(2, k_max):
+        curve = fits[k - 1][2] - 2.0 * fits[k][2] + fits[k + 1][2]
+        if curve > best_curve + 1e-12:
+            best_k, best_curve = k, curve
+    return fits[best_k]
+
+
 def post_process_loop(unclustered, clusters, a) -> list[list[int]]:
     """Leftover-node attachment, one (node, cluster) pair at a time.
 

@@ -1,15 +1,14 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gbsclust import baselines
 from gbsclust.baselines import (
     KMeansResult,
     _assign,
+    _fit_every_k,
     _kmeans_pp_init_fits,
+    _lloyd,
     _repair_empty,
     _restart_rngs,
     dbscan,
@@ -22,6 +21,7 @@ from gbsclust.graph_core import PointSet, build_adjacency, compute_distance_matr
 
 from helpers import (
     adjusted_rand_index,
+    elbow_per_restart,
     graph_from_edges,
     kmeans_per_restart,
     kmeans_pp_init_all_centroids,
@@ -194,6 +194,17 @@ class TestDbscan:
         with pytest.raises(InvalidInputError, match="min_pts must be an integer of at least 1"):
             dbscan(d, eps=0.01, min_pts=min_pts)
 
+    @pytest.mark.parametrize(
+        "d, problem",
+        [([[0, 1], [5, 0]], "symmetric"), (-np.ones((3, 3)), "distance"),
+         (np.ones(3), "square")],
+        ids=["asymmetric", "negative", "vector"],
+    )
+    def test_malformed_distances_rejected(self, d, problem):
+        # the asymmetric matrix was clustered, the negative one made one cluster
+        with pytest.raises(InvalidInputError, match=problem):
+            dbscan(np.asarray(d, dtype=float), 2.0, 2)
+
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_eps_rejected(self, eps):
         # NaN fails every comparison, so a bare eps <= 0 check lets it through
@@ -258,20 +269,22 @@ class TestKMeansBitIdentity:
         assert rng_new.random() == rng_ref.random()
 
     @settings(max_examples=150, deadline=None)
-    @given(points_with_duplicates(), st.integers(0, 2**32 - 1))
-    def test_repair_equals_rescanning_repair(self, case, label_seed):
+    @given(points_with_duplicates(), st.integers(0, 2**32 - 1), st.integers(0, 3))
+    def test_repair_equals_rescanning_repair(self, case, label_seed, pad):
+        # the fit owns its first k slots; the ``pad`` past them hold +inf
         x, k, _ = case
         rng = np.random.default_rng(label_seed)
         used = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
         labels = used[rng.integers(used.size, size=x.shape[0])]
         centroids = rng.random((k, 2))
-        got_centroids, ref_centroids = centroids.copy(), centroids.copy()
+        got_centroids = np.vstack([centroids, np.full((pad, 2), np.inf)])[None]
+        ref_centroids = centroids.copy()
         got_labels = labels[None].copy()
-        (got_flag,) = _repair_empty(x, got_centroids[None], got_labels)
-        got_labels = got_labels[0]
+        (got_flag,) = _repair_empty(x, got_centroids, got_labels, np.array([k]))
         ref_labels, ref_flag = repair_empty_rescanning(x, ref_centroids, labels.copy())
-        assert np.array_equal(got_labels, ref_labels)
-        assert np.array_equal(got_centroids, ref_centroids)
+        assert np.array_equal(got_labels[0], ref_labels)
+        assert np.array_equal(got_centroids[0, :k], ref_centroids)
+        assert np.isposinf(got_centroids[0, k:]).all()
         assert got_flag == ref_flag
 
     def test_repair_fills_several_empty_clusters(self):
@@ -282,7 +295,7 @@ class TestKMeansBitIdentity:
             x, centroids.copy(), labels.copy()
         )
         got_labels = labels[None].copy()
-        (got_flag,) = _repair_empty(x, centroids[None].copy(), got_labels)
+        (got_flag,) = _repair_empty(x, centroids[None].copy(), got_labels, np.array([5]))
         got_labels = got_labels[0]
         assert got_flag and ref_flag
         assert np.array_equal(got_labels, ref_labels)
@@ -308,27 +321,18 @@ class TestKMeansSeedingPrefix:
         for k in range(1, k_max + 1):
             fresh = _kmeans_pp_init_fits(x, k, _restart_rngs(seed))
             assert np.array_equal(seeding[:, :k], fresh)
-            got = kmeans(pts(x), k, seed, seeding=seeding)
-            ref = kmeans(pts(x), k, seed)
-            assert np.array_equal(got.centroids, ref.centroids)
-            assert np.array_equal(got.labels, ref.labels)
-            assert got.inertia == ref.inertia
-        # the fits wrote into copies, never into the shared seeding
-        assert np.array_equal(
-            seeding, _kmeans_pp_init_fits(x, k_max, _restart_rngs(seed))
-        )
-
-    def test_wrongly_shaped_seeding_rejected(self):
-        points = pts([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        seeding = _kmeans_pp_init_fits(points.coords, 3, _restart_rngs(0))
-        for bad in (seeding[:, :2], seeding[:5], seeding[..., :1], seeding[0]):
-            with pytest.raises(InvalidInputError, match="seeding"):
-                kmeans(points, 3, 0, seeding=bad)
+        # the Lloyd batch writes into copies, never into the shared seeding
+        ks = np.repeat(np.arange(1, k_max + 1), seeding.shape[0])
+        batch = np.tile(seeding, (k_max, 1, 1))
+        _lloyd(x, batch, ks)
+        assert np.array_equal(batch, np.tile(seeding, (k_max, 1, 1)))
 
 
-def _kmeans_one_restart_at_a_time(points, k, seed=None, *, seeding=None):
-    # ignores the elbow's shared seeding: the reference seeds every k afresh
-    return KMeansResult(*kmeans_per_restart(points.coords, k, seed))
+# a bench-like strip: two rows of points about 0.045 apart
+TWO_ROWS = np.array(
+    [[45.019, 7.013], [45.011, 7.059], [45.018, 7.016], [45.014, 7.062], [45.017, 7.018],
+     [45.016, 7.066], [45.014, 7.019], [45.019, 7.069], [45.013, 7.022]]
+)
 
 
 class TestKMeansLockstep:
@@ -344,6 +348,20 @@ class TestKMeansLockstep:
         assert np.array_equal(result.labels, labels)
         assert result.inertia == inertia
 
+    @settings(max_examples=40, deadline=None)
+    @given(points_with_duplicates())
+    @example((np.zeros((4, 2)), 4, 0))  # every k but 1 repairs empty clusters
+    @example((TWO_ROWS, 8, 0))  # k = 6, 7 move off if slots past k start as points
+    def test_every_k_of_the_batch_equals_kmeans_at_k(self, case):
+        x, k_max, seed = case
+        fits = _fit_every_k(x, k_max, seed)
+        assert [fit.k for fit in fits] == list(range(1, k_max + 1))
+        for k, fit in enumerate(fits, start=1):
+            alone = kmeans(pts(x), k, seed=seed)
+            assert np.array_equal(fit.centroids, alone.centroids)
+            assert np.array_equal(fit.labels, alone.labels)
+            assert fit.inertia == alone.inertia
+
     @settings(max_examples=25, deadline=None)
     @given(points_with_duplicates())
     def test_elbow_picks_the_per_restart_fit(self, case):
@@ -351,9 +369,8 @@ class TestKMeansLockstep:
         assume(x.shape[0] >= 3)
         k_max = min(8, x.shape[0])
         result = elbow_select_k(pts(x), k_max, seed=seed)
-        with mock.patch.object(baselines, "kmeans", _kmeans_one_restart_at_a_time):
-            reference = elbow_select_k(pts(x), k_max, seed=seed)
-        assert result.k == reference.k
-        assert np.array_equal(result.centroids, reference.centroids)
-        assert np.array_equal(result.labels, reference.labels)
-        assert result.inertia == reference.inertia
+        centroids, labels, inertia = elbow_per_restart(x, k_max, seed)
+        assert result.k == centroids.shape[0]
+        assert np.array_equal(result.centroids, centroids)
+        assert np.array_equal(result.labels, labels)
+        assert result.inertia == inertia

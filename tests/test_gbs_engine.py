@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from gbsclust import gbs_engine
@@ -48,6 +48,25 @@ from helpers import (
 
 SINGLE_EDGE = graph_from_edges(2, [(0, 1)])
 K4 = graph_from_edges(4, list(itertools.combinations(range(4), 2)))
+
+
+def top_of(lam):
+    """The top of the calibration's bracket, (1 - 1e-14) / lam_max."""
+    return (1.0 - 1e-14) / float(np.max(lam))
+
+
+@st.composite
+def spectra(draw):
+    """Singular values from 1e-5 to 1e5 with zeros and repeats, and a factor
+    that, when above 1, sets the target that far past the mean at the top."""
+    size = draw(st.integers(1, 26))
+    values = 10.0 ** np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=size)))
+    picks = st.lists(st.integers(0, values.size - 1), min_size=size, max_size=size)
+    lam = values[np.array(draw(picks))]  # each value may repeat
+    zeros = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    lam[np.array(zeros) & (lam < lam.max())] = 0.0
+    overshoot = draw(st.sampled_from([1.0, 1.0, 1.0, 1.5, 1e3]))
+    return lam, overshoot
 
 
 def random_symmetric(rng, n):
@@ -129,13 +148,41 @@ class TestCalibrateScaling:
         with pytest.raises(InvalidInputError):
             calibrate_scaling(np.array([1.0]), 0.0)
 
-    def test_equals_200_step_bisection(self):
-        rng = np.random.default_rng(8)
-        for _ in range(300):
-            lam = rng.uniform(0.05, 5.0, size=int(rng.integers(1, 27)))
-            lam[1:][rng.random(lam.size - 1) < 0.3] = 0.0  # graph spectra hold zeros
-            n_mean = float(rng.uniform(1e-6, 20.0))
-            assert calibrate_scaling(lam, n_mean) == calibrate_scaling_200_steps(lam, n_mean)
+    @settings(max_examples=300, deadline=None)
+    @given(spectra(), st.floats(-40.0, 12.0))
+    @example((np.array([3.0, 2.0, 0.5]), 1.0), 16.5)  # n_mean 3e16: 1 + n_mean == n_mean
+    def test_equals_200_step_bisection(self, case, log_n_mean):
+        lam, overshoot = case
+        n_mean = 10.0**log_n_mean
+        if overshoot > 1.0:  # past the mean at top, where the root is clamped
+            n_mean = overshoot * gbs_engine._mean_photons(top_of(lam), lam)
+        assert calibrate_scaling(lam, n_mean) == calibrate_scaling_200_steps(lam, n_mean)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spectra(), st.floats(-300.0, 300.0))
+    @example((np.array([1e5, 1e-5]), 1.0), -100.0)  # the 200-step oracle is 6e-12 off here
+    @example((np.array([1e5, 1e-5]), 1.0), -300.0)  # s = c^2 is subnormal
+    def test_lands_on_the_float_boundary(self, case, log_n_mean):
+        # c = 0.5 * (prev(b) + b), b the least float in (0, top] whose mean
+        # reaches n_mean, or b = top when none does; this holds also for the
+        # tiny targets where a 200-step bisection stops short of adjacent floats
+        lam, _ = case
+        n_mean = 10.0**log_n_mean
+        mean = gbs_engine._mean_photons
+        top = top_of(lam)
+        c = calibrate_scaling(lam, n_mean)
+        b = c if mean(c, lam) >= n_mean else min(np.nextafter(c, np.inf), top)
+        below = np.nextafter(b, 0.0)
+        assert b == top or mean(below, lam) < n_mean <= mean(b, lam)
+        assert c == 0.5 * (below + b)
+
+    @pytest.mark.parametrize("n_mean", [1e16, 3e16])
+    def test_huge_target_below_the_top_starts_newton_off_the_pole(self, n_mean):
+        # 1 + n_mean == n_mean, so the largest term reaches n_mean only at the
+        # pole; 1000 modes at the top carry 5e16 photons, so the root is below it
+        lam = np.ones(1000)
+        assert gbs_engine._mean_photons(top_of(lam), lam) > n_mean
+        assert calibrate_scaling(lam, n_mean) == calibrate_scaling_200_steps(lam, n_mean)
 
     def test_stops_once_the_bracket_is_adjacent_floats(self, monkeypatch):
         evaluations = []
@@ -149,7 +196,25 @@ class TestCalibrateScaling:
         for n_mean in (0.5, 2.0, 6.25):
             evaluations.clear()
             calibrate_scaling(np.array([3.0, 2.0, 0.5]), n_mean)
-            assert len(evaluations) < 60
+            assert len(evaluations) <= 5
+
+    @pytest.mark.parametrize(
+        "lam, n_mean, problem",
+        [([np.nan], 1.0, "must be finite"), ([np.inf], 1.0, "must be finite"),
+         ([1.0, -np.inf], 1.0, "must be finite"), ([-3.0, 1.0], 100.0, "must be nonnegative")],
+        ids=["nan", "inf", "minus-inf", "negative"],
+    )
+    def test_bad_singular_value_rejected(self, lam, n_mean, problem):
+        # nan gave c = nan, inf gave c = 0, and [-3, 1] bracketed by lam.max()
+        # = 1 put c * 3 past the pole
+        with pytest.raises(InvalidInputError, match=f"singular values {problem}"):
+            calibrate_scaling(np.array(lam), n_mean)
+
+    @pytest.mark.parametrize("lam_max", [5e-324, 1e-310])
+    def test_subnormal_largest_singular_value_rejected(self, lam_max):
+        # 1 / lam_max overflows, and the bracket's top of inf gave c = inf
+        with pytest.raises(InvalidInputError, match="too small to calibrate"):
+            calibrate_scaling(np.array([lam_max]), 1.0)
 
     @pytest.mark.parametrize("n_mean", [float("nan"), float("inf")])
     def test_nonfinite_target_rejected(self, n_mean):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbsclust.errors import InvalidInputError
 from gbsclust.graph_core import (
     PointSet,
     build_adjacency,
+    check_distances,
     compute_distance_matrix,
     connected_components,
     edge_counts,
@@ -52,6 +55,16 @@ class TestDistanceMatrix:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InvalidInputError):
             PointSet(ids=["a", "a"], coords=np.zeros((2, 2)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.floats(-150.0, 150.0))
+    def test_every_computed_matrix_passes_the_distance_checks(self, m, seed, log_scale):
+        # x_i - x_j negates x_j - x_i exactly, so the matrix is bitwise symmetric
+        rng = np.random.default_rng(seed)
+        coords = rng.normal(size=(m, 2)) * 10.0**log_scale
+        coords[rng.integers(m)] = coords[0]  # a coincident pair
+        d = compute_distance_matrix(PointSet([f"p{i}" for i in range(m)], coords))
+        assert np.array_equal(check_distances(d), d)
 
 
 class TestPercentile:

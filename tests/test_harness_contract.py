@@ -14,13 +14,10 @@ import ast
 import importlib
 import inspect
 from pathlib import Path
-from unittest import mock
 
-import numpy as np
 import pytest
 
-from gbsclust import baselines, bench, gbs_engine, metrics, qclust
-from gbsclust.graph_core import PointSet
+from gbsclust import bench, gbs_engine, metrics, qclust
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -74,19 +71,3 @@ def test_post_process_takes_clusters_second():
 def test_generate_dataset_takes_point_count_second():
     # the tracer reads each dataset's size from args[1]
     assert parameters(bench.generate_dataset)[1] == "m"
-
-
-def test_elbow_fits_every_k_through_the_traced_kmeans():
-    # the tracer counts baselines.kmeans calls; the elbow must make one per k
-    points = PointSet(
-        [f"p{i}" for i in range(12)], np.random.default_rng(3).random((12, 2))
-    )
-    real_kmeans, fitted = baselines.kmeans, []
-
-    def counting_kmeans(points, k, *args, **kwargs):
-        fitted.append(k)
-        return real_kmeans(points, k, *args, **kwargs)
-
-    with mock.patch.object(baselines, "kmeans", counting_kmeans):
-        baselines.elbow_select_k(points, 8, seed=5)
-    assert fitted == list(range(1, 9))

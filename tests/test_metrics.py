@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gbsclust.errors import InvalidInputError
 from gbsclust.graph_core import PointSet, compute_distance_matrix
 from gbsclust.metrics import (
     cohesion,
@@ -57,6 +58,29 @@ class TestSilhouette:
         value = silhouette(d, clustering([[0, 1], [2, 3]], 4))
         # the coincident pair has a = 0 < b, scoring 1 each; finite result
         assert -1.0 <= value <= 1.0
+
+    def test_negative_distances_rejected(self):
+        # returned 0.0
+        with pytest.raises(InvalidInputError, match="distance"):
+            silhouette(-np.ones((3, 3)), clustering([[0, 1], [2]], 3))
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_matrix_of_another_size_rejected(self, size):
+        # a 4 x 4 matrix for 3 points raised IndexError
+        d = compute_distance_matrix(pts([[0, 0], [1, 0], [0, 1], [1, 1]][:size]))
+        with pytest.raises(InvalidInputError, match=f"covers {size} points"):
+            silhouette(d, clustering([[0, 1], [2]], 3))
+
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [(np.ones((3, 2)), "square"), (np.full((3, 3), np.nan), "finite"),
+         ([[0, 1, 2], [1, 0, 1], [5, 1, 0]], "symmetric"), (np.ones((3, 3)), "zero diagonal"),
+         (np.eye(3) - 1.0, "nonnegative")],
+        ids=["not-square", "nan", "asymmetric", "nonzero-diagonal", "negative"],
+    )
+    def test_malformed_matrix_rejected(self, bad, problem):
+        with pytest.raises(InvalidInputError, match=problem):
+            silhouette(bad, clustering([[0, 1], [2]], 3))
 
 
 class TestWeightedDensity:
