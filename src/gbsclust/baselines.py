@@ -311,8 +311,12 @@ def dbscan_with_postprocess(
     d: np.ndarray, eps: float, min_pts: int, a: np.ndarray
 ) -> Clustering:
     """DBSCAN on the distances ``d`` whose noise points are reattached
-    through the graph ``a``."""
+    through the graph ``a``, one node per point."""
     raw = dbscan(d, eps, min_pts)
+    if np.shape(a) != (len(d), len(d)):
+        raise InvalidInputError(
+            f"graph has shape {np.shape(a)}, the distances cover {len(d)} points"
+        )
     clusters = post_process(raw.noise, raw.clusters, a)
     return Clustering(
         clusters=clusters,

@@ -146,14 +146,30 @@ class GbsEncoding:
 
 @dataclass
 class SampleBatch:
-    """Node subsets drawn from the GBS distribution of one graph."""
+    """Node subsets drawn from the GBS distribution of one graph, as the
+    rows of a 0/1 matrix: ``hits[i, v]`` is set when sample i holds node v.
+    ``samples`` reads the same subsets as ascending node tuples, built on
+    first read."""
 
-    samples: list[tuple[int, ...]]
+    hits: np.ndarray
     mode: str
 
     def __post_init__(self):
-        if self.mode == MODE_PNR and any(len(s) % 2 for s in self.samples):
+        hits = np.asarray(self.hits)
+        if hits.ndim != 2:
+            raise InvalidInputError(f"sample matrix must be 2-D, got shape {hits.shape}")
+        if hits.dtype != bool and not ((hits == 0) | (hits == 1)).all():
+            raise InvalidInputError("sample matrix entries must be 0 or 1")
+        self.hits = hits.astype(bool, copy=False)
+        if self.mode == MODE_PNR and np.any(np.count_nonzero(self.hits, axis=1) % 2):
             raise InvalidInputError("odd-size subset in pnr_postselected batch")
+
+    @functools.cached_property
+    def samples(self) -> list[tuple[int, ...]]:
+        """The nodes set in each row, as an ascending tuple."""
+        nodes = np.nonzero(self.hits)[1].tolist()
+        ends = np.cumsum(np.count_nonzero(self.hits, axis=1)).tolist()
+        return [tuple(nodes[s:e]) for s, e in zip([0, *ends], ends)]
 
 
 def _sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,13 +347,6 @@ def _unpack(k: np.ndarray) -> np.ndarray:
     return (k << 1) | (np.bitwise_count(k) & 1)
 
 
-def _subsets(hits: np.ndarray) -> list[tuple[int, ...]]:
-    """The columns set in each row of a 0/1 matrix, as an ascending tuple."""
-    nodes = np.nonzero(hits)[1].tolist()
-    ends = np.cumsum(np.count_nonzero(hits, axis=1)).tolist()
-    return [tuple(nodes[s:e]) for s, e in zip([0, *ends], ends)]
-
-
 def _eliminate(m: np.ndarray, view: np.ndarray, steps: int) -> np.ndarray:
     """Decide the next ``steps`` nodes for a batch of prefixes.
 
@@ -427,9 +436,9 @@ class GraphSampler:
 
     The constructor checks the mode and the enumeration bound of every
     connected component, raising CapacityError before anything is
-    allocated.  The first ``draw``, or the first read of ``tables``, encodes
-    ``a`` for ``n_mean`` photons (c is calibrated on the whole graph) and
-    tabulates every component of two or more nodes, raising
+    allocated.  The first ``draw``, or the first read of ``tables``,
+    calibrates c for ``n_mean`` photons on the whole graph's singular values
+    and tabulates every component of two or more nodes, raising
     DegenerateGraphError for an all-zero matrix: a hafnian sweep in
     photon-counting mode, a node-elimination sweep and its torontonian
     (Moebius) transform in threshold mode.  Each
@@ -488,7 +497,7 @@ class GraphSampler:
         if float(np.abs(self.a).sum()) == 0.0:
             # only the empty subset would carry mass, and calibration has no root
             raise DegenerateGraphError("graph has no edges, nothing to sample")
-        c = encode(self.a, self.n_mean, self.mode).c
+        c = calibrate_scaling(np.abs(_sorted_eigh(self.a)[0]), self.n_mean)
         powers = c ** np.arange(self.m + 1, dtype=float)
         tables = []
         for nodes in self.components:
@@ -539,7 +548,7 @@ class GraphSampler:
         hits = np.zeros((n_samples, self.m), dtype=bool)
         for nodes, local in zip(self.components, picked):
             hits[:, nodes] = _bits(local, nodes.size)
-        return SampleBatch(_subsets(hits), self.mode)
+        return SampleBatch(hits, self.mode)
 
     def _descend(self, u: np.ndarray) -> list[np.ndarray]:
         """Per component, the local masks of the subsets whose interval of

@@ -124,18 +124,18 @@ def threshold_graph(d: np.ndarray, d_percentile: float) -> np.ndarray:
     """Threshold graph at the ``d_percentile`` percentile of the distances ``d``.
 
     ``d`` is the (M, M) matrix ``compute_distance_matrix`` returns, built
-    once per point set by the caller and trusted as given; a NaN or
-    infinite distance is rejected by ``percentile``.  ``d_percentile`` must
-    lie strictly in (0, 1).  When so many points coincide that the
-    percentile is a distance of 0, no pair lies strictly closer, and
-    InvalidInputError names the pairs at distance 0 instead of returning
-    the edgeless graph.  For a fixed threshold, pass ``d`` to
+    once per point set by the caller and passed through ``check_distances``.
+    ``d_percentile`` must lie strictly in (0, 1).  When so many points
+    coincide that the percentile is a distance of 0, no pair lies strictly
+    closer, and InvalidInputError names the pairs at distance 0 instead of
+    returning the edgeless graph.  For a fixed threshold, pass ``d`` to
     ``build_adjacency``.
     """
     if not 0.0 < d_percentile < 1.0:
         raise InvalidInputError(
             f"d_percentile must lie strictly in (0, 1), got {d_percentile}"
         )
+    d = check_distances(d)
     values = upper_triangle_values(d)
     d_tilde = percentile(values, d_percentile)
     if d_tilde <= 0:
@@ -169,7 +169,7 @@ def check_distances(d: np.ndarray) -> np.ndarray:
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InvalidInputError(f"distance matrix must be square, got shape {d.shape}")
     if not np.isfinite(d).all():
-        raise InvalidInputError("distances must be finite, got NaN or inf")
+        raise InvalidInputError("distances must be finite, got NaN or infinite")
     if not np.array_equal(d, d.T):
         raise InvalidInputError("distance matrix must be symmetric")
     if np.any(np.diag(d) != 0.0):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .graph_core import check_distances, edge_counts
+from .graph_core import check_adjacency, check_distances, edge_counts
 
 # compute_distance_matrix and graph_density are re-exported for the benchmark tracer
 from .graph_core import compute_distance_matrix, graph_density  # noqa: F401
@@ -86,7 +86,10 @@ def _breakdown(clustering: Clustering, a: np.ndarray) -> tuple[float, float]:
     for singletons; delta_ext is edges_ext / (n_i (M - n_i)), 0 when the
     cluster is the whole graph.
     """
+    a = check_adjacency(a)
     m = clustering.n_points
+    if len(a) != m:
+        raise InvalidInputError(f"graph has {len(a)} nodes, the clustering {m} points")
     total = 0.0
     deltas = []
     for cluster in clustering.clusters:

@@ -130,30 +130,33 @@ def find_densest_candidate(
 
     Keeps subsets with at least ``l_min`` nodes; ranks by density, then by
     size, then by lexicographically smallest node list so the choice is
-    deterministic.  The kept subsets are scored together as the rows of a
-    0/1 matrix H: twice a subset's edge count is the row sum of (H a) * H,
-    an exact integer on a 0/1 ``a``, so each density equals
-    ``graph_core.graph_density``'s bit for bit; a subset of at most one
-    node scores 0.
+    deterministic.  The kept rows of the batch's 0/1 matrix are scored
+    together as a float matrix H: twice a subset's edge count is the row
+    sum of (H a) * H, an exact integer on a 0/1 ``a``, so each density
+    equals ``graph_core.graph_density``'s bit for bit; a subset of at most
+    one node scores 0.  Node tuples are built only for the rows tied at the
+    best density and size.  The batch must have one column per node of
+    ``a``.
     """
-    passing = [subset for subset in batch.samples if len(subset) >= l_min]
-    if not passing:
+    if batch.hits.shape[1] != a.shape[0]:
+        raise InvalidInputError(
+            f"batch has {batch.hits.shape[1]} node columns, the graph {a.shape[0]} nodes"
+        )
+    counts = np.count_nonzero(batch.hits, axis=1)
+    keep = counts >= l_min
+    if not keep.any():
         return None
-    nodes = [i for subset in passing for i in subset]
-    if nodes and not 0 <= min(nodes) <= max(nodes) < a.shape[0]:
-        raise InvalidInputError(f"node index out of range for a {a.shape[0]}-node graph")
-    hits = np.zeros((len(passing), a.shape[0]))
-    hits[[r for r, subset in enumerate(passing) for _ in subset], nodes] = 1.0
-    sizes = hits.sum(axis=1)
+    hits = batch.hits[keep].astype(float)
+    sizes = counts[keep].astype(float)
     pairs = sizes * (sizes - 1.0)
     density = np.divide(
-        ((hits @ a) * hits).sum(axis=1), pairs, out=np.zeros(len(passing)), where=pairs > 0.0
+        ((hits @ a) * hits).sum(axis=1), pairs, out=np.zeros(len(hits)), where=pairs > 0.0
     )
-    best = min(
-        (-d, -len(subset), tuple(sorted(subset)))
-        for d, subset in zip(density.tolist(), passing)
-    )
-    return best[2], -best[0]
+    top = density.max()
+    tied = density == top
+    tied &= sizes == sizes[tied].max()
+    best = min(tuple(np.flatnonzero(row).tolist()) for row in hits[tied])
+    return best, float(top)
 
 
 def post_process(
@@ -167,9 +170,15 @@ def post_process(
     joins the cluster maximizing edges(node, cluster) / |cluster|, ties
     broken by the smaller cluster index.  Nodes are handled in ascending
     index order against the cluster sizes as they were on entry, so the
-    order of processing never changes a ratio denominator.
+    order of processing never changes a ratio denominator.  ``a`` must be a
+    symmetric 0/1 matrix with a zero diagonal, and every node, leftover or
+    clustered, an index into it.
     """
+    a = graph_core.check_adjacency(a)
     nodes = sorted(int(n) for n in unclustered)
+    for node in (*nodes, *(int(n) for c in clusters for n in c)):
+        if not 0 <= node < len(a):
+            raise InvalidInputError(f"node {node} out of range for a {len(a)}-node graph")
     # column 0 stands for a singleton, so a row with no positive ratio picks it
     ratio = np.zeros((len(nodes), len(clusters) + 1))
     for cid, members in enumerate(clusters, start=1):

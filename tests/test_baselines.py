@@ -234,6 +234,14 @@ class TestDbscanWithPostprocess:
         full = dbscan_with_postprocess(compute_distance_matrix(points), 0.01, 2, a)
         assert full.clusters == [[0, 1, 2]]
 
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_graph_of_another_size_rejected(self, size):
+        # a 4-node graph for 3 points was read as if it were theirs
+        d = compute_distance_matrix(pts([[0, 0], [0.001, 0], [0.02, 0]]))
+        a = graph_from_edges(size, [(0, 1)])
+        with pytest.raises(InvalidInputError, match="cover 3 points"):
+            dbscan_with_postprocess(d, 0.01, 2, a)
+
     def test_always_full_partition(self):
         points, _ = blobs([[0, 0], [0.02, 0.02]], size=5, spread=0.004, seed=9)
         d = compute_distance_matrix(points)

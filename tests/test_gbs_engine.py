@@ -21,6 +21,7 @@ from gbsclust.gbs_engine import (
     MODE_THRESHOLD,
     GbsEncoding,
     GraphSampler,
+    SampleBatch,
     calibrate_scaling,
     encode,
     sample,
@@ -314,6 +315,31 @@ class TestSubsetWeight:
         enc = encode(a, 1.0)
         assert subset_weight(a, enc, (0,)) == 0.0
         assert subset_weight(a, enc, (0, 1, 2)) == 0.0
+
+
+class TestSampleBatch:
+    @pytest.mark.parametrize(
+        "hits", [np.ones(4), np.ones((2, 2, 2)), np.array(1)], ids=["1-D", "3-D", "0-D"]
+    )
+    def test_matrix_not_2d_rejected(self, hits):
+        with pytest.raises(InvalidInputError, match="must be 2-D"):
+            SampleBatch(hits, MODE_THRESHOLD)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_entry_other_than_0_or_1_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="0 or 1"):
+            SampleBatch(np.array([[0.0, 1.0], [1.0, bad]]), MODE_THRESHOLD)
+
+    def test_odd_pnr_row_rejected(self):
+        hits = np.array([[1, 1, 0], [1, 1, 1]])
+        with pytest.raises(InvalidInputError, match="odd-size subset"):
+            SampleBatch(hits, MODE_PNR)
+        assert SampleBatch(hits, MODE_THRESHOLD).samples == [(0, 1), (0, 1, 2)]
+
+    def test_integer_matrix_kept_as_bool(self):
+        batch = SampleBatch(np.array([[0, 1, 1], [0, 0, 0]]), MODE_PNR)
+        assert batch.hits.dtype == bool
+        assert batch.samples == [(1, 2), ()]
 
 
 class TestSample:
@@ -665,6 +691,20 @@ THRESHOLD_SPLIT_CASES = [
 
 
 class TestSupport:
+    @pytest.mark.parametrize("mode", [MODE_PNR, MODE_THRESHOLD])
+    def test_tables_calibrate_once(self, mode):
+        # the tables once re-encoded the graph, whose check evaluated the
+        # mean photon number three more times
+        a = graph_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)])
+        lam = np.abs(gbs_engine._sorted_eigh(a)[0])
+        spy = mock.Mock(wraps=gbs_engine._mean_photons)
+        with mock.patch.object(gbs_engine, "_mean_photons", spy):
+            calibrate_scaling(lam, 2.0)
+            alone = spy.call_count
+            spy.reset_mock()
+            GraphSampler(a, 2.0, mode).tables
+        assert spy.call_count == alone
+
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(a=split_graphs(), n_mean=st.floats(0.1, 6.0))
     def test_per_component_support_equals_dense_route(self, a, n_mean):
@@ -888,14 +928,14 @@ class TestMaskRoutes:
 
     def test_subsets_read_members_off_the_mask_bits(self):
         masks = np.array([0, 0b101, 0b110, 1 << 25, (1 << 26) - 1], dtype=np.int64)
-        assert gbs_engine._subsets(gbs_engine._bits(masks, 26)) == [
+        assert SampleBatch(gbs_engine._bits(masks, 26), MODE_THRESHOLD).samples == [
             (),
             (0, 2),
             (1, 2),
             (25,),
             tuple(range(26)),
         ]
-        assert gbs_engine._subsets(gbs_engine._bits(masks[:0], 26)) == []
+        assert SampleBatch(gbs_engine._bits(masks[:0], 26), MODE_THRESHOLD).samples == []
 
 
 class TestThresholdSweep:

@@ -165,6 +165,17 @@ class TestThresholdGraph:
         with pytest.raises(InvalidInputError, match="NaN or infinite"):
             threshold_graph(d, 0.5)
 
+    @pytest.mark.parametrize(
+        "d, problem",
+        [([[0, 1, -1], [1, 0, 2], [-1, 2, 0]], "nonnegative"),
+         ([[0, 1, 2], [1, 0, 3], [5, 3, 0]], "symmetric")],
+        ids=["negative", "asymmetric"],
+    )
+    def test_malformed_distances_rejected(self, d, problem):
+        # both built a graph: the percentile of the upper triangle is 1
+        with pytest.raises(InvalidInputError, match=problem):
+            threshold_graph(np.array(d, dtype=float), 0.5)
+
     @pytest.mark.parametrize("q", [0.0, 1.0])
     def test_percentile_outside_open_interval_rejected(self, q):
         with pytest.raises(InvalidInputError, match="d_percentile"):

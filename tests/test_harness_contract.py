@@ -15,6 +15,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gbsclust import bench, gbs_engine, metrics, qclust
@@ -61,6 +62,20 @@ def test_sample_starts_with_graph_and_photon_target_and_takes_mode():
 def test_find_densest_candidate_takes_batch_graph_and_size_floor():
     # the tracer counts passing samples from args[0].samples and args[2]
     assert parameters(qclust.find_densest_candidate) == ["batch", "a", "l_min"]
+
+
+def test_batch_samples_are_one_ascending_tuple_per_row():
+    # the tracer reads args[0].samples and the len() of each subset
+    a = np.ones((6, 6)) - np.eye(6)
+    batch = gbs_engine.GraphSampler(a, 2.0, gbs_engine.MODE_THRESHOLD).draw(40, seed=3)
+    samples = batch.samples
+    assert isinstance(samples, list) and len(samples) == len(batch.hits)
+    for subset, row in zip(samples, batch.hits):
+        assert type(subset) is tuple
+        assert all(type(i) is int for i in subset)
+        assert list(subset) == sorted(set(subset))
+        assert len(subset) == np.count_nonzero(row)
+        assert all(row[i] for i in subset)
 
 
 def test_post_process_takes_clusters_second():

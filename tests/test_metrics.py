@@ -115,6 +115,29 @@ class TestCohesion:
         assert value == pytest.approx(2 / 3)
 
 
+class TestGraphChecked:
+    def test_weighted_graph_rejected(self):
+        # returned 7.0, outside [0, 1]
+        with pytest.raises(InvalidInputError, match="0 or 1"):
+            weighted_density(clustering([[0, 1], [2]], 3), np.full((3, 3), 5.0) - 5.0 * np.eye(3))
+        with pytest.raises(InvalidInputError):
+            weighted_density(clustering([[0, 1], [2]], 3), np.full((3, 3), 5.0))
+
+    def test_graph_with_self_loops_rejected(self):
+        # a 5 x 5 matrix of ones for a 3-point partition returned -1.0
+        with pytest.raises(InvalidInputError, match="zero diagonal"):
+            cohesion(clustering([[0, 1], [2]], 3), np.ones((5, 5)))
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_graph_of_another_size_rejected(self, size):
+        a = graph_from_edges(size, [(0, 1)])
+        for score in (weighted_density, cohesion):
+            with pytest.raises(InvalidInputError, match=f"graph has {size} nodes"):
+                score(clustering([[0, 1], [2]], 3), a)
+        with pytest.raises(InvalidInputError, match=f"graph has {size} nodes"):
+            compute_report(TIGHT_PAIRS_D[:3, :3], clustering([[0, 1], [2]], 3), a)
+
+
 class TestInvariances:
     def test_relabeling_and_permutation(self):
         rng = np.random.default_rng(10)

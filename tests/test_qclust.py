@@ -37,9 +37,13 @@ def binary_graphs(draw, max_nodes=10):
     return a + a.T
 
 
-def batch_of(*subsets):
-    # threshold mode, so mixed odd and even subset sizes are legal
-    return SampleBatch(samples=[tuple(sorted(s)) for s in subsets], mode=MODE_THRESHOLD)
+def batch_of(m, *subsets):
+    """A batch over ``m`` nodes whose row i holds ``subsets[i]``; threshold
+    mode, so mixed odd and even subset sizes are legal."""
+    hits = np.zeros((len(subsets), m), dtype=bool)
+    for row, subset in zip(hits, subsets):
+        row[list(subset)] = True
+    return SampleBatch(hits, MODE_THRESHOLD)
 
 
 def three_cliques_points(side=10.0, spread=0.1, size=5, seed=0):
@@ -69,32 +73,41 @@ class TestFindDensestCandidate:
         a = graph_from_edges(
             7, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (5, 6)]
         )
-        batch = batch_of((0, 1, 2), (3, 4, 5, 6))
+        batch = batch_of(7, (0, 1, 2), (3, 4, 5, 6))
         assert find_densest_candidate(batch, a, 3) == ((0, 1, 2), 1.0)
 
     def test_tie_broken_by_size(self):
         a = graph_from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5)])
-        batch = batch_of((4, 5), (0, 1, 2, 3))
+        batch = batch_of(6, (4, 5), (0, 1, 2, 3))
         assert find_densest_candidate(batch, a, 2) == ((0, 1, 2, 3), 1.0)
 
     def test_tie_broken_lexicographically(self):
         a = graph_from_edges(4, [(0, 1), (2, 3)])
-        batch = batch_of((2, 3), (0, 1))
+        batch = batch_of(4, (2, 3), (0, 1))
         assert find_densest_candidate(batch, a, 2) == ((0, 1), 1.0)
 
     def test_all_below_minimum_size(self):
         a = graph_from_edges(4, [(0, 1)])
-        batch = batch_of((0, 1), ())
+        batch = batch_of(4, (0, 1), ())
         assert find_densest_candidate(batch, a, 3) is None
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_matrix_scores_equal_graph_density_loop(self, data):
         # l_min of 0 or 1 lets empty and one-node subsets through, which score 0
-        a = data.draw(binary_graphs(max_nodes=25))
+        a = data.draw(
+            st.one_of(
+                binary_graphs(max_nodes=25),
+                # every subset of one size ties on an empty or a complete graph
+                st.builds(lambda n, k: np.full((n, n), k) - np.diag(np.full(n, k)),
+                          st.integers(1, 25), st.sampled_from([0.0, 1.0])),
+            )
+        )
         m = a.shape[0]
-        subsets = data.draw(st.lists(st.sets(st.integers(0, m - 1)), min_size=1, max_size=40))
-        batch = batch_of(*subsets)
+        # rows drawn from a small pool repeat, and their copies tie
+        pool = data.draw(st.lists(st.sets(st.integers(0, m - 1)), min_size=1, max_size=8))
+        subsets = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+        batch = batch_of(m, *subsets)
         l_min = data.draw(st.integers(0, m))
         found = find_densest_candidate(batch, a, l_min)
         expected = densest_by_graph_density(batch, a, l_min)
@@ -102,11 +115,16 @@ class TestFindDensestCandidate:
         if found is not None:
             assert np.float64(found[1]).tobytes() == np.float64(expected[1]).tobytes()
 
-    def test_out_of_range_node_rejected(self):
+    def test_duplicate_rows_tied_with_others(self):
+        a = graph_from_edges(5, [(0, 1), (2, 3), (3, 4)])
+        batch = batch_of(5, (2, 3), (0, 1), (2, 3), (0, 1), (2, 3, 4))
+        assert find_densest_candidate(batch, a, 2) == ((0, 1), 1.0)
+
+    def test_batch_of_another_width_rejected(self):
         a = graph_from_edges(3, [(0, 1)])
-        for subset in [(0, 3), (-1, 0)]:
-            with pytest.raises(InvalidInputError, match="out of range"):
-                find_densest_candidate(batch_of(subset), a, 1)
+        for m in (2, 4):
+            with pytest.raises(InvalidInputError, match="node columns"):
+                find_densest_candidate(batch_of(m, (0, 1)), a, 1)
 
 
 def densest_by_graph_density(batch, a, l_min):
@@ -148,6 +166,22 @@ class TestPostProcess:
         a = np.zeros((3, 3))
         clusters = post_process([0, 1, 2], [], a)
         assert clusters == [[0], [1], [2]]
+
+    def test_nan_graph_rejected(self):
+        # attached node 2 to cluster [0, 1]
+        with pytest.raises(InvalidInputError, match="adjacency"):
+            post_process([2], [[0, 1]], np.full((3, 3), np.nan))
+
+    @pytest.mark.parametrize(
+        "leftover, clusters",
+        [([-1], [[0, 1]]), ([5], [[0, 1]]), ([2], [[0, 3]])],
+        ids=["negative-leftover", "leftover-past-the-end", "member-past-the-end"],
+    )
+    def test_node_out_of_range_rejected(self, leftover, clusters):
+        # -1 returned [[-1, 0, 1]]; 5 raised IndexError
+        a = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        with pytest.raises(InvalidInputError, match="out of range for a 3-node graph"):
+            post_process(leftover, clusters, a)
 
     @settings(max_examples=200, deadline=None)
     @given(
