@@ -136,12 +136,15 @@ def find_densest_candidate(
     equals ``graph_core.graph_density``'s bit for bit; a subset of at most
     one node scores 0.  Node tuples are built only for the rows tied at the
     best density and size.  The batch must have one column per node of
-    ``a``.
+    ``a``, whose entries must be finite.
     """
     if batch.hits.shape[1] != a.shape[0]:
         raise InvalidInputError(
             f"batch has {batch.hits.shape[1]} node columns, the graph {a.shape[0]} nodes"
         )
+    if not np.isfinite(a).all():
+        # NaN never ties the best density, and inf * 0 is NaN in H @ a
+        raise InvalidInputError("graph entries must be finite")
     counts = np.count_nonzero(batch.hits, axis=1)
     keep = counts >= l_min
     if not keep.any():

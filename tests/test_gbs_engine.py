@@ -298,6 +298,15 @@ class TestEncoding:
         with pytest.raises(InvalidInputError, match="mean photons"):
             encode(K4, 1e15)
 
+    @pytest.mark.parametrize("mode", [MODE_PNR, MODE_THRESHOLD])
+    def test_sampler_rejects_a_target_beyond_the_bracket(self, mode):
+        # the sampler calibrates without building an encoding, and must not
+        # draw at the cap's ~4.9e13 photons in place of the target
+        with pytest.raises(InvalidInputError, match="mean photons"):
+            sample(K4, 1e15, 5, mode=mode, seed=0)
+        with pytest.raises(InvalidInputError, match="mean photons"):
+            GraphSampler(K4, 1e15, mode).draw(5, 0)
+
 
 class TestSubsetWeight:
     def test_empty_subset(self):
@@ -340,6 +349,13 @@ class TestSampleBatch:
         batch = SampleBatch(np.array([[0, 1, 1], [0, 0, 0]]), MODE_PNR)
         assert batch.hits.dtype == bool
         assert batch.samples == [(1, 2), ()]
+
+    def test_batches_compare_by_identity(self):
+        # a generated __eq__ would compare the matrices as one truth value
+        hits = np.array([[1, 1, 0], [0, 1, 1]])
+        batch = SampleBatch(hits, MODE_PNR)
+        assert batch == batch
+        assert batch != SampleBatch(hits.copy(), MODE_PNR)
 
 
 class TestSample:

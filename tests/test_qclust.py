@@ -104,9 +104,16 @@ class TestFindDensestCandidate:
             )
         )
         m = a.shape[0]
-        # rows drawn from a small pool repeat, and their copies tie
-        pool = data.draw(st.lists(st.sets(st.integers(0, m - 1)), min_size=1, max_size=8))
-        subsets = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+        rows = st.sets(st.integers(0, m - 1))
+        subsets = data.draw(
+            st.one_of(
+                st.lists(rows, min_size=1, max_size=40),
+                # rows drawn from a small pool repeat, and their copies tie
+                st.lists(rows, min_size=1, max_size=8).flatmap(
+                    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)
+                ),
+            )
+        )
         batch = batch_of(m, *subsets)
         l_min = data.draw(st.integers(0, m))
         found = find_densest_candidate(batch, a, l_min)
@@ -125,6 +132,18 @@ class TestFindDensestCandidate:
         for m in (2, 4):
             with pytest.raises(InvalidInputError, match="node columns"):
                 find_densest_candidate(batch_of(m, (0, 1)), a, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_graph_rejected(self, bad):
+        a = graph_from_edges(3, [(0, 1), (1, 2)])
+        a[0, 2] = a[2, 0] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            find_densest_candidate(batch_of(3, (0, 1), (1, 2)), np.full((3, 3), bad), 2)
+        with pytest.raises(InvalidInputError, match="finite"):
+            find_densest_candidate(batch_of(3, (0, 1), (1, 2)), a, 2)
+        # also when no kept subset has an edge to read
+        with pytest.raises(InvalidInputError, match="finite"):
+            find_densest_candidate(batch_of(3, (0,), ()), a, 5)
 
 
 def densest_by_graph_density(batch, a, l_min):
