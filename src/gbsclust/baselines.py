@@ -4,27 +4,29 @@ Both are written for small benchmark datasets (tens of points) with fully
 deterministic tie-breaking, so benchmark rows are reproducible bit for bit.
 k-means uses k-means++ seeding, Lloyd iterations, empty-cluster repair by
 stealing the farthest point from the largest cluster, and keeps the best of
-10 restarts by inertia.  One Lloyd loop runs a batch of fits as arrays, each
-fit with its own k and its own generator, and every fit is bit for bit the
-one it would be alone: ``kmeans`` runs its 10 restarts as one batch, and the
-elbow all k_max x 10 fits of k = 1..k_max.  The elbow seeds each dataset
-once, at k_max: k-means++ at k makes the draws of the first k steps at any
-larger k, so every k starts from a prefix of that one seeding and fits
-exactly as if it had seeded itself.
-DBSCAN uses brute-force neighbor scans with closed neighborhoods (a point
-counts itself), and its noise points can be folded back into clusters with
-the same connectivity-ratio post-processing the GBS driver uses.
+10 restarts by inertia.  ``kmeans`` and the elbow share one fitter: it
+seeds each dataset once, at the largest k asked for, and runs every k's 10
+restarts as one Lloyd batch, each fit with its own k and its own generator
+and bit for bit the one it would be alone.  k-means++ at k makes the draws
+of the first k steps at any larger k, so every k starts from a prefix of
+that one seeding and fits exactly as if it had seeded itself.
+DBSCAN uses closed neighborhoods (a point counts itself).  Its clusters are
+the connected components of the core points' eps-graph; a border point
+joins the lowest-numbered cluster with a core point within eps, and the
+rest is noise, which can be folded back into clusters with the same
+connectivity-ratio post-processing the GBS driver uses.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInputError, check_integer, check_seed
-from .graph_core import PointSet, check_distances
+from .graph_core import PointSet, check_distances, connected_components
 from .qclust import Clustering, post_process
 
 __all__ = [
@@ -109,7 +111,11 @@ def _kmeans_pp_init_fits(
         u = np.array([rngs[fit].random() for fit in drawn])
         chosen[drawn, step] = np.count_nonzero(cdf <= u[:, None], axis=1)
         for fit in np.flatnonzero(~draw):
-            # all remaining points coincide with a centroid; pick lowest new index
+            # every squared distance is 0: unless they underflowed, all points
+            # coincide with a chosen centroid, so pick the lowest new index
+            picked = x[chosen[fit, :step]]
+            if not (x[:, None, :] == picked).all(axis=2).any(axis=1).all():
+                raise InvalidInputError("squared distances underflow in k-means++ seeding")
             chosen[fit, step] = next(i for i in range(m) if i not in chosen[fit, :step])
     return x[chosen]
 
@@ -216,29 +222,27 @@ def kmeans(points: PointSet, k: int, seed: int | None = None) -> KMeansResult:
     check_seed(seed)
     if k > m:
         raise InvalidInputError(f"k must be in [1, {m}], got {k}")
-    seeding = _kmeans_pp_init_fits(x, k, _restart_rngs(seed))
-    centroids, labels, inertia = _lloyd(x, seeding, np.full(N_RESTARTS, k))
-    best = int(np.argmin(inertia))  # the first restart among equal inertias
-    return KMeansResult(centroids[best], labels[best], float(inertia[best]))
+    return _best_fits(x, [k], seed)[0]
 
 
-def _fit_every_k(x: np.ndarray, k_max: int, seed: int | None) -> list[KMeansResult]:
-    """``kmeans(points, k, seed)`` for k = 1..k_max, as one Lloyd batch.
+def _best_fits(x: np.ndarray, ks: Sequence[int], seed: int | None) -> list[KMeansResult]:
+    """``kmeans(points, k, seed)`` for every k in ``ks``, as one Lloyd batch.
 
-    The restarts are seeded once, at k_max: k-means++ at k makes the draws
-    of the first k steps at any larger k, so each k starts from the first
-    k centroids of that seeding, the ones seeding at k would pick.  All
-    k_max x 10 fits then run together, and each k keeps its first restart
-    with the least inertia.
+    The restarts are seeded once, at max(ks): k-means++ at k makes the
+    draws of the first k steps at any larger k, so each k starts from the
+    first k centroids of that seeding, the ones seeding at k would pick.
+    All len(ks) x 10 fits then run together, and each k keeps its first
+    restart with the least inertia.
     """
-    seeding = _kmeans_pp_init_fits(x, k_max, _restart_rngs(seed))
-    ks = np.repeat(np.arange(1, k_max + 1), N_RESTARTS)
-    centroids, labels, inertia = _lloyd(x, np.tile(seeding, (k_max, 1, 1)), ks)
+    seeding = _kmeans_pp_init_fits(x, max(ks), _restart_rngs(seed))
+    fit_ks = np.repeat(ks, N_RESTARTS)
+    centroids, labels, inertia = _lloyd(x, np.tile(seeding, (len(ks), 1, 1)), fit_ks)
+    first = np.arange(0, fit_ks.size, N_RESTARTS)
     # argmin takes the first restart among equal inertias
-    best = np.arange(0, ks.size, N_RESTARTS) + inertia.reshape(k_max, -1).argmin(axis=1)
+    best = first + inertia.reshape(len(ks), -1).argmin(axis=1)
     return [
         KMeansResult(centroids[fit, :k], labels[fit], float(inertia[fit]))
-        for k, fit in enumerate(best.tolist(), start=1)
+        for k, fit in zip(ks, best.tolist())
     ]
 
 
@@ -257,7 +261,8 @@ def elbow_select_k(
     check_seed(seed)
     if k_max > m:
         raise InvalidInputError(f"k_max must not exceed the point count {m}")
-    fits = [None, *_fit_every_k(points.coords, k_max, seed)]  # fits[k] is at k
+    ks = range(1, k_max + 1)
+    fits = dict(zip(ks, _best_fits(points.coords, ks, seed)))
     best_k, best_curve = None, -np.inf
     for k in range(2, k_max):
         curve = fits[k - 1].inertia - 2.0 * fits[k].inertia + fits[k + 1].inertia
@@ -268,42 +273,31 @@ def elbow_select_k(
 
 
 def dbscan(d: np.ndarray, eps: float, min_pts: int) -> DbscanResult:
-    """Density-reachability clustering with brute-force neighbor scans.
+    """Density-reachability clustering on a distance matrix.
 
     ``d`` is the points' (M, M) matrix from
     ``graph_core.compute_distance_matrix``; ``check_distances`` rejects one
     that is no distance matrix.  A point is core when its closed
     eps-neighborhood (itself included) holds at least ``min_pts`` points.
-    Clusters are grown from core points in ascending index order; border
-    points join the first cluster that reaches them; anything unreachable
-    is noise.
+    The clusters are the connected components of the core points within
+    eps of each other, ordered by their lowest core point.  Every other
+    point joins the lowest-numbered cluster with a core point within eps,
+    or is noise.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise InvalidInputError(f"eps must be finite and positive, got {eps}")
     check_integer("min_pts", min_pts, 1)
     d = check_distances(d)
-    m = len(d)
-    neighbors = [np.nonzero(d[i] <= eps)[0] for i in range(m)]
-    core = np.array([len(nb) >= min_pts for nb in neighbors])
-
-    labels = np.full(m, -1, dtype=int)
-    cluster_id = 0
-    for start in range(m):
-        if labels[start] != -1 or not core[start]:
-            continue
-        labels[start] = cluster_id
-        queue = [start]
-        while queue:
-            p = queue.pop(0)
-            for q in neighbors[p]:
-                q = int(q)
-                if labels[q] == -1:
-                    labels[q] = cluster_id
-                    if core[q]:
-                        queue.append(q)
-        cluster_id += 1
-    clusters = [np.nonzero(labels == c)[0].tolist() for c in range(cluster_id)]
-    noise = np.nonzero(labels == -1)[0].tolist()
+    near = d <= eps
+    core = np.flatnonzero(np.count_nonzero(near, axis=1) >= min_pts)
+    components = connected_components(near[np.ix_(core, core)])
+    labels = np.full(len(d), -1)
+    # a core point reaches only its own cluster's core points; a border
+    # point keeps the lowest cluster that reaches it, as it is written last
+    for cluster in reversed(range(len(components))):
+        labels[near[:, core[components[cluster]]].any(axis=1)] = cluster
+    clusters = [np.flatnonzero(labels == c).tolist() for c in range(len(components))]
+    noise = np.flatnonzero(labels == -1).tolist()
     return DbscanResult(clusters=clusters, noise=noise)
 
 

@@ -430,6 +430,40 @@ def elbow_per_restart(
     return fits[best_k]
 
 
+def dbscan_bfs(
+    d: np.ndarray, eps: float, min_pts: int
+) -> tuple[list[list[int]], list[int]]:
+    """DBSCAN grown by breadth-first search; returns (clusters, noise).
+
+    The search as it was before clusters were taken as connected
+    components: clusters grow from core points in ascending index order,
+    a border point joins the first cluster that reaches it, and anything
+    unreached is noise.  Takes a checked distance matrix.
+    """
+    m = len(d)
+    neighbors = [np.nonzero(d[i] <= eps)[0] for i in range(m)]
+    core = np.array([len(nb) >= min_pts for nb in neighbors])
+    labels = np.full(m, -1, dtype=int)
+    cluster_id = 0
+    for start in range(m):
+        if labels[start] != -1 or not core[start]:
+            continue
+        labels[start] = cluster_id
+        queue = [start]
+        while queue:
+            p = queue.pop(0)
+            for q in neighbors[p]:
+                q = int(q)
+                if labels[q] == -1:
+                    labels[q] = cluster_id
+                    if core[q]:
+                        queue.append(q)
+        cluster_id += 1
+    clusters = [np.nonzero(labels == c)[0].tolist() for c in range(cluster_id)]
+    noise = np.nonzero(labels == -1)[0].tolist()
+    return clusters, noise
+
+
 def post_process_loop(unclustered, clusters, a) -> list[list[int]]:
     """Leftover-node attachment, one (node, cluster) pair at a time.
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from gbsclust.baselines import (
     KMeansResult,
     _assign,
-    _fit_every_k,
+    _best_fits,
     _kmeans_pp_init_fits,
     _lloyd,
     _repair_empty,
@@ -21,6 +21,7 @@ from gbsclust.graph_core import PointSet, build_adjacency, compute_distance_matr
 
 from helpers import (
     adjusted_rand_index,
+    dbscan_bfs,
     elbow_per_restart,
     graph_from_edges,
     kmeans_per_restart,
@@ -93,6 +94,21 @@ class TestKMeans:
         with pytest.raises(InvalidInputError, match="overflow"):
             kmeans(points, 2, seed=0)
 
+    def test_underflowing_distances_rejected(self):
+        # every squared distance underflows to 0, which read as 8 coincident points
+        points = pts(np.arange(16.0).reshape(8, 2) * 1e-170)
+        with pytest.raises(InvalidInputError, match="underflow"):
+            kmeans(points, 3, seed=0)
+        with pytest.raises(InvalidInputError, match="underflow"):
+            elbow_select_k(points, 5, seed=0)
+
+    def test_coincident_points_still_fit(self):
+        # the seeding's no-draw branch still serves points that truly coincide
+        points = pts([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]] * 3)
+        result = kmeans(points, 3, seed=0)
+        assert result.labels.tolist() == [2, 0, 1, 0, 0, 1, 0, 0, 1]
+        assert result.inertia == 0.0
+
     def test_partition(self):
         points, _ = blobs([[0, 0], [8, 8]], size=6, spread=2.0, seed=3)
         clustering = kmeans(points, 3, seed=0).to_clustering()
@@ -161,6 +177,15 @@ class TestDbscan:
         result = dbscan(compute_distance_matrix(pts(coords)), eps=eps, min_pts=2)
         assert len(result.clusters) == 1
         assert sorted(result.clusters[0]) == list(range(10))
+
+    def test_border_point_joins_the_lower_numbered_cluster(self):
+        # point 0 is within eps of one core point of each cluster, nearer the
+        # second's, but has only 3 points in reach, so it is no core point
+        xs = (0.97, -0.3, -0.2, -0.1, 0.0, 1.9, 2.0, 2.1, 2.2)
+        coords = [[x, 0.0] for x in xs]
+        result = dbscan(compute_distance_matrix(pts(coords)), eps=1.0, min_pts=4)
+        assert result.clusters == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
+        assert result.noise == []
 
     def test_order_invariance(self):
         points, _ = blobs([[0, 0], [3, 3], [6, 0]], size=5, spread=0.3, seed=8)
@@ -262,6 +287,31 @@ def points_with_duplicates(draw):
     return x, k, seed
 
 
+@st.composite
+def points_with_ks(draw):
+    """Points as ``points_with_duplicates`` draws them, with every k up to
+    its k, as the elbow fits them, or up to four distinct k in any order."""
+    x, k, seed = draw(points_with_duplicates())
+    some = st.lists(st.integers(1, x.shape[0]), min_size=1, max_size=4, unique=True)
+    return x, draw(st.one_of(st.just(range(1, k + 1)), some)), seed
+
+
+class TestDbscanEqualsBfs:
+    """Clusters as connected core components are the clusters BFS grows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points_with_duplicates(),
+        st.floats(-6.0, 1.0).map(lambda e: 10.0**e),
+        st.integers(1, 5),
+    )
+    def test_equals_bfs(self, case, eps, min_pts):
+        x, _, _ = case
+        d = compute_distance_matrix(pts(x))
+        result = dbscan(d, eps, min_pts)
+        assert (result.clusters, result.noise) == dbscan_bfs(d, eps, min_pts)
+
+
 class TestKMeansBitIdentity:
     """The k-means steps that reuse what they hold match the rescanning ones."""
 
@@ -356,15 +406,17 @@ class TestKMeansLockstep:
         assert np.array_equal(result.labels, labels)
         assert result.inertia == inertia
 
-    @settings(max_examples=40, deadline=None)
-    @given(points_with_duplicates())
-    @example((np.zeros((4, 2)), 4, 0))  # every k but 1 repairs empty clusters
-    @example((TWO_ROWS, 8, 0))  # k = 6, 7 move off if slots past k start as points
+    @settings(max_examples=60, deadline=None)
+    @given(points_with_ks())
+    @example((np.zeros((4, 2)), range(1, 5), 0))  # every k but 1 repairs empty clusters
+    @example((TWO_ROWS, range(1, 9), 0))  # k = 6, 7 move off if slots past k start as points
+    @example((TWO_ROWS, [2, 5], 0))  # the ks need not run from 1, nor ascend
+    @example((TWO_ROWS, [5, 2], 0))
     def test_every_k_of_the_batch_equals_kmeans_at_k(self, case):
-        x, k_max, seed = case
-        fits = _fit_every_k(x, k_max, seed)
-        assert [fit.k for fit in fits] == list(range(1, k_max + 1))
-        for k, fit in enumerate(fits, start=1):
+        x, ks, seed = case
+        fits = _best_fits(x, ks, seed)
+        assert [fit.k for fit in fits] == list(ks)
+        for k, fit in zip(ks, fits):
             alone = kmeans(pts(x), k, seed=seed)
             assert np.array_equal(fit.centroids, alone.centroids)
             assert np.array_equal(fit.labels, alone.labels)

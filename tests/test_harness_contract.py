@@ -14,11 +14,12 @@ import ast
 import importlib
 import inspect
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from gbsclust import bench, gbs_engine, metrics, qclust
+from gbsclust import baselines, bench, gbs_engine, metrics, qclust
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -81,6 +82,26 @@ def test_batch_samples_are_one_ascending_tuple_per_row():
 def test_post_process_takes_clusters_second():
     # the tracer counts accepted clusters from args[1]
     assert parameters(qclust.post_process)[1] == "clusters"
+
+
+def test_dbscan_with_postprocess_reaches_both_spans_through_the_module():
+    # the tracer's dbscan and post_process spans nest under
+    # dbscan_with_postprocess only if it calls them as baselines' globals
+    d = np.array([[0.0, 0.001, 5.0], [0.001, 0.0, 5.0], [5.0, 5.0, 0.0]])
+    a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with (
+        mock.patch.object(baselines, "dbscan", wraps=baselines.dbscan) as dbscan,
+        mock.patch.object(baselines, "post_process", wraps=baselines.post_process) as post,
+    ):
+        baselines.dbscan_with_postprocess(d, 0.01, 2, a)
+    assert dbscan.call_count == 1
+    assert post.call_count == 1
+
+
+def test_dbscan_components_add_no_span():
+    # dbscan clusters through graph_core.connected_components, which no
+    # span wraps, so each dbscan call stays one span
+    assert ("graph_core", "connected_components") not in WRAP_POINTS
 
 
 def test_generate_dataset_takes_point_count_second():
