@@ -4,7 +4,10 @@ Both are written for small benchmark datasets (tens of points) with fully
 deterministic tie-breaking, so benchmark rows are reproducible bit for bit.
 k-means uses k-means++ seeding, Lloyd iterations, empty-cluster repair by
 stealing the farthest point from the largest cluster, and keeps the best of
-10 restarts by inertia.  ``kmeans`` and the elbow share one fitter: it
+10 restarts by inertia.  k may not exceed the number of distinct point
+positions, and the elbow fits k only up to that number, so seeding puts
+every centroid on a position of its own and no fit starts with an empty
+cluster.  ``kmeans`` and the elbow share one fitter: it
 seeds each dataset once, at the largest k asked for, and runs every k's 10
 restarts as one Lloyd batch, each fit with its own k and its own generator
 and bit for bit the one it would be alone.  k-means++ at k makes the draws
@@ -92,7 +95,9 @@ def _kmeans_pp_init_fits(
 
     Each draw is ``rng.choice(m, p=d2 / total)`` spelled out as numpy does
     it (normalized cumulative sum, one ``random()``, right-side search), so
-    picks and generator states are those of the per-fit call.
+    picks and generator states are those of the per-fit call.  A draw only
+    lands on a point at a positive squared distance from every centroid its
+    fit holds, so a fit's k centroids are k distinct positions.
     """
     m = x.shape[0]
     chosen = np.empty((len(rngs), k), dtype=np.intp)
@@ -104,19 +109,14 @@ def _kmeans_pp_init_fits(
         total = d2.sum(axis=1)
         if not np.isfinite(total).all():
             raise InvalidInputError("squared distances overflow in k-means++ seeding")
-        draw = total > 0.0
-        cdf = np.cumsum(d2[draw] / total[draw, None], axis=1)
+        # k is at most the distinct positions, so only underflow leaves a
+        # fit with no point at a positive distance from its centroids
+        if not (total > 0.0).all():
+            raise InvalidInputError("squared distances underflow in k-means++ seeding")
+        cdf = np.cumsum(d2 / total[:, None], axis=1)
         cdf = cdf / cdf[:, -1:]
-        drawn = np.flatnonzero(draw)
-        u = np.array([rngs[fit].random() for fit in drawn])
-        chosen[drawn, step] = np.count_nonzero(cdf <= u[:, None], axis=1)
-        for fit in np.flatnonzero(~draw):
-            # every squared distance is 0: unless they underflowed, all points
-            # coincide with a chosen centroid, so pick the lowest new index
-            picked = x[chosen[fit, :step]]
-            if not (x[:, None, :] == picked).all(axis=2).any(axis=1).all():
-                raise InvalidInputError("squared distances underflow in k-means++ seeding")
-            chosen[fit, step] = next(i for i in range(m) if i not in chosen[fit, :step])
+        u = np.array([rng.random() for rng in rngs])
+        chosen[:, step] = np.count_nonzero(cdf <= u[:, None], axis=1)
     return x[chosen]
 
 
@@ -170,8 +170,9 @@ def _lloyd(
     n_fits, slots, dim = seeding.shape
     real = np.arange(slots) < ks[:, None]
     centroids = np.where(real[..., None], seeding, np.inf)
+    # each seed point is at squared distance 0 from its own centroid only,
+    # so no cluster starts empty
     labels = _assign(x, centroids)
-    _repair_empty(x, centroids, labels, ks)
     inertia = np.full(n_fits, np.inf)
     active = np.arange(n_fits)
     for _ in range(MAX_LLOYD_ITERATIONS):
@@ -210,18 +211,21 @@ def _lloyd(
 def kmeans(points: PointSet, k: int, seed: int | None = None) -> KMeansResult:
     """Lloyd's k-means with k-means++ seeding, best of 10 restarts.
 
-    Iterates until assignments stop changing or 300 rounds; empty clusters
-    are repaired by stealing the farthest point from the largest cluster.
+    k may not exceed the number of distinct point positions: seeding then
+    puts each centroid on a position of its own, so no cluster starts
+    empty.  Iterates until assignments stop changing or 300 rounds; a
+    cluster that a later round leaves empty is repaired by stealing the
+    farthest point from the largest cluster.
     The restarts advance together as arrays; each keeps its own generator
     and drops out once its labels stop changing, so every fit is the one
     it would be if run alone.
     """
     x = points.coords
-    m = x.shape[0]
     check_integer("k", k, 1)
     check_seed(seed)
-    if k > m:
-        raise InvalidInputError(f"k must be in [1, {m}], got {k}")
+    distinct = len(np.unique(x, axis=0))
+    if k > distinct:
+        raise InvalidInputError(f"k = {k} exceeds the {distinct} distinct point positions")
     return _best_fits(x, [k], seed)[0]
 
 
@@ -251,16 +255,20 @@ def elbow_select_k(
 ) -> KMeansResult:
     """The k-means fit whose k is picked by the inertia curve's elbow.
 
-    Fits k = 1..k_max and returns the fit at the interior k where the
-    improvement flattens the most, i.e. the largest second difference of
-    the inertia; ties go to the smaller k.  Every k's fit is
-    ``kmeans(points, k, seed)``, all of them made in one batch.
+    Fits k = 1..min(k_max, D), D the number of distinct point positions,
+    and returns the fit at the interior k where the improvement flattens
+    the most, i.e. the largest second difference of the inertia; ties go
+    to the smaller k.  Every k's fit is ``kmeans(points, k, seed)``, all of
+    them made in one batch.
     """
-    m = len(points)
     check_integer("k_max", k_max, 3)
     check_seed(seed)
-    if k_max > m:
-        raise InvalidInputError(f"k_max must not exceed the point count {m}")
+    distinct = len(np.unique(points.coords, axis=0))
+    if distinct < 3:
+        raise InvalidInputError(
+            f"the elbow needs k up to 3, but the points have {distinct} distinct positions"
+        )
+    k_max = min(k_max, distinct)
     ks = range(1, k_max + 1)
     fits = dict(zip(ks, _best_fits(points.coords, ks, seed)))
     best_k, best_curve = None, -np.inf

@@ -254,8 +254,7 @@ def _run_one(
         )
         return qclust.gbs_cluster(a, params)
     if method == "kmeans":
-        k_max = min(config.kmeans_k_max, len(points))
-        return baselines.elbow_select_k(points, k_max, seed=seed).to_clustering()
+        return baselines.elbow_select_k(points, config.kmeans_k_max, seed=seed).to_clustering()
     return baselines.dbscan_with_postprocess(  # the last of METHODS
         d, config.dbscan_eps, config.dbscan_min_pts, a
     )

@@ -63,7 +63,7 @@ def kmeans(input_path, k, k_max, seed, out_path):
     """Cluster a points CSV with k-means."""
     points = graph_core.load_points_csv(input_path)
     if k == "auto":
-        result = baselines.elbow_select_k(points, min(k_max, len(points)), seed=seed)
+        result = baselines.elbow_select_k(points, k_max, seed=seed)
     else:
         try:
             k = int(k)

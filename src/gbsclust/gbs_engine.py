@@ -132,7 +132,17 @@ class GbsEncoding:
                 raise InvalidInputError(f"{name} must be finite, got {value!r}")
         if np.any((self.c * self.lam) ** 2 >= 1.0):
             raise InvalidInputError("rescaling violates c * lambda_max < 1")
-        _check_mean_photons(self.c, self.lam, self.n_mean)
+        # c's mean photon number may miss n_mean by ATOL, or by the step to a
+        # neighbouring float of c, which near the pole can be over ATOL
+        implied = _mean_photons(self.c, self.lam)
+        step = max(
+            abs(_mean_photons(np.nextafter(self.c, end), self.lam) - implied)
+            for end in (0.0, np.inf)
+        )
+        if abs(implied - self.n_mean) > max(CALIBRATION_ATOL, step):
+            raise InvalidInputError(
+                f"c implies mean photons {implied!r}, expected {self.n_mean!r}"
+            )
 
 
 @dataclass(eq=False)
@@ -231,24 +241,6 @@ def _least_reaching(lam: np.ndarray, n_mean: float, guess: float, top: float) ->
     return value(hi)
 
 
-def _check_mean_photons(c: float, lam: np.ndarray, n_mean: float) -> None:
-    """Reject a rescaling c whose mean photon number misses n_mean by more
-    than ATOL and more than the step to either neighbouring float of c."""
-    implied = _mean_photons(c, lam)
-    # near the pole, c's neighbouring floats can be over ATOL photons apart
-    step = max(
-        abs(_mean_photons(np.nextafter(c, end), lam) - implied) for end in (0.0, np.inf)
-    )
-    if abs(implied - n_mean) > max(CALIBRATION_ATOL, step):
-        raise InvalidInputError(f"c implies mean photons {implied!r}, expected {n_mean!r}")
-
-
-def _scaling_cap(lam_max: float) -> float:
-    """The largest rescaling calibration considers, just short of the pole
-    at 1 / lam_max."""
-    return (1.0 - 1e-14) / lam_max
-
-
 def calibrate_scaling(lam: np.ndarray, n_mean: float) -> float:
     """Rescaling c in (0, 1/lam_max) hitting a target mean photon number.
 
@@ -289,7 +281,8 @@ def calibrate_scaling(lam: np.ndarray, n_mean: float) -> float:
             f"mean photon target must be finite and positive, got {n_mean}"
         )
     lam_max = float(lam.max())
-    top = _scaling_cap(lam_max)
+    # the largest rescaling considered, just short of the pole at 1 / lam_max
+    top = (1.0 - 1e-14) / lam_max
     if not math.isfinite(top):
         raise InvalidInputError(
             f"largest singular value {lam_max!r} is too small to calibrate"
@@ -446,9 +439,9 @@ class GraphSampler:
 
     The constructor checks the mode and the enumeration bound of every
     connected component, raising CapacityError before anything is
-    allocated.  The first ``draw``, or the first read of ``tables``,
-    calibrates c for ``n_mean`` photons on the whole graph's singular values
-    and tabulates every component of two or more nodes, raising
+    allocated.  The first ``draw``, or the first read of ``tables``, takes
+    c from ``encode``, calibrated for ``n_mean`` photons on the whole graph's
+    singular values, and tabulates every component of two or more nodes, raising
     DegenerateGraphError for an all-zero matrix: a hafnian sweep in
     photon-counting mode, a node-elimination sweep and its torontonian
     (Moebius) transform in threshold mode.  Each
@@ -507,12 +500,8 @@ class GraphSampler:
         if float(np.abs(self.a).sum()) == 0.0:
             # only the empty subset would carry mass, and calibration has no root
             raise DegenerateGraphError("graph has no edges, nothing to sample")
-        lam = np.abs(_sorted_eigh(self.a)[0])
-        c = calibrate_scaling(lam, self.n_mean)
-        top = _scaling_cap(float(lam[0]))
-        if c == 0.5 * (float(np.nextafter(top, 0.0)) + top):
-            # calibration clamps a target past the cap's photon number here
-            _check_mean_photons(c, lam, self.n_mean)
+        # the encoding's check rejects a target past what calibration reaches
+        c = encode(self.a, self.n_mean, self.mode).c
         powers = c ** np.arange(self.m + 1, dtype=float)
         tables = []
         for nodes in self.components:

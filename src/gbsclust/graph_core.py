@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integer
 
 __all__ = [
     "PointSet",
@@ -110,11 +110,16 @@ def build_adjacency(d: np.ndarray, d_tilde: float) -> np.ndarray:
     """Threshold graph: connect i and j exactly when D_ij < d_tilde.
 
     The inequality is strict, so pairs at exactly the threshold stay
-    disconnected.  Output is a symmetric 0/1 float matrix, zero diagonal.
+    disconnected.  ``check_distances`` rejects a ``d`` that is no distance
+    matrix.  Output is a symmetric 0/1 float matrix, zero diagonal.
     """
     if not d_tilde > 0:  # NaN fails every comparison; inf connects every pair
         raise InvalidInputError(f"distance threshold must be positive, got {d_tilde}")
-    d = np.asarray(d, dtype=float)
+    return _connect_below(check_distances(d), d_tilde)
+
+
+def _connect_below(d: np.ndarray, d_tilde: float) -> np.ndarray:
+    """``build_adjacency`` of a checked distance matrix."""
     a = (d < d_tilde).astype(float)
     np.fill_diagonal(a, 0.0)
     return a
@@ -144,7 +149,7 @@ def threshold_graph(d: np.ndarray, d_percentile: float) -> np.ndarray:
             f"distance 0, so the threshold at d_percentile {d_percentile} is 0 and "
             "connects no pair; use a larger d_percentile"
         )
-    return build_adjacency(d, d_tilde)
+    return _connect_below(d, d_tilde)
 
 
 def check_adjacency(a: np.ndarray) -> np.ndarray:
@@ -297,6 +302,8 @@ def read_edge_list(path, n_nodes: int | None = None) -> np.ndarray:
     explicit ``n_nodes``.  A line that is not two integers raises
     InvalidInputError naming the path and the 1-based line.
     """
+    if n_nodes is not None:
+        check_integer("n_nodes", n_nodes, 0)
     edges: list[tuple[int, int]] = []
     with open(path, encoding="utf-8") as fh:
         for line_num, line in enumerate(fh, start=1):

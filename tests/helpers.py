@@ -418,9 +418,10 @@ def kmeans_per_restart(
 def elbow_per_restart(
     x: np.ndarray, k_max: int, seed: int | None
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The elbow's fit from ``kmeans_per_restart`` at every k = 1..k_max:
-    the interior k with the largest second difference of the inertia,
-    ties to the smaller k."""
+    """The elbow's fit from ``kmeans_per_restart`` at every k = 1..k_max,
+    k_max capped at the number of distinct positions: the interior k with
+    the largest second difference of the inertia, ties to the smaller k."""
+    k_max = min(k_max, len(np.unique(x, axis=0)))
     fits = {k: kmeans_per_restart(x, k, seed) for k in range(1, k_max + 1)}
     best_k, best_curve = None, -np.inf
     for k in range(2, k_max):

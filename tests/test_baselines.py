@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gbsclust import baselines
 from gbsclust.baselines import (
     KMeansResult,
     _assign,
@@ -103,11 +106,13 @@ class TestKMeans:
             elbow_select_k(points, 5, seed=0)
 
     def test_coincident_points_still_fit(self):
-        # the seeding's no-draw branch still serves points that truly coincide
+        # 9 points at 2 positions fit at k = 2, and k = 3 names both counts
         points = pts([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]] * 3)
-        result = kmeans(points, 3, seed=0)
-        assert result.labels.tolist() == [2, 0, 1, 0, 0, 1, 0, 0, 1]
+        result = kmeans(points, 2, seed=0)
+        assert result.labels.tolist() == [0, 0, 1, 0, 0, 1, 0, 0, 1]
         assert result.inertia == 0.0
+        with pytest.raises(InvalidInputError, match="k = 3 exceeds the 2 distinct point"):
+            kmeans(points, 3, seed=0)
 
     def test_partition(self):
         points, _ = blobs([[0, 0], [8, 8]], size=6, spread=2.0, seed=3)
@@ -119,6 +124,30 @@ class TestKMeans:
         result = KMeansResult(np.zeros((3, 2)), np.array([0, 0, 2]), 0.0)
         with pytest.raises(InvalidInputError, match="empty cluster"):
             result.to_clustering()
+
+
+class TestKMeansEnds:
+    """With k at most the distinct positions, no fit can cycle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 4), st.integers(1, 11), st.integers(0, 2**32 - 1), st.integers(0, 10**6)
+    )
+    def test_coincident_points_end_or_reject_k(self, n_positions, k, layout, seed):
+        # 14 points at 2-4 positions, the layouts where k above the positions
+        # once ran every fit to its 300th round
+        rng = np.random.default_rng(layout)
+        where = rng.permutation(np.arange(14) % n_positions)
+        points = pts(rng.random((n_positions, 2))[where])
+        if k > n_positions:
+            with pytest.raises(InvalidInputError, match=f"k = {k} exceeds the {n_positions} "):
+                kmeans(points, k, seed=seed)
+            return
+        spy = mock.Mock(wraps=baselines._assign)
+        with mock.patch.object(baselines, "_assign", spy):
+            result = kmeans(points, k, seed=seed)
+        assert spy.call_count <= 20
+        assert sorted(set(result.labels.tolist())) == list(range(k))
 
 
 class TestElbow:
@@ -140,10 +169,19 @@ class TestElbow:
         with pytest.raises(InvalidInputError):
             elbow_select_k(points, 2, seed=0)
 
-    def test_k_max_beyond_m_rejected(self):
-        points = pts([[0, 0], [1, 0], [10, 10]])
-        with pytest.raises(InvalidInputError):
-            elbow_select_k(points, 4, seed=0)
+    def test_k_max_is_capped_at_the_distinct_positions(self):
+        # 5 points at 4 positions: k_max 4 and 8 both fit k = 1..4
+        points = pts([[0, 0], [1, 0], [10, 10], [1, 0], [11, 10]])
+        capped = elbow_select_k(points, 4, seed=0)
+        result = elbow_select_k(points, 8, seed=0)
+        assert result.k == capped.k
+        assert np.array_equal(result.labels, capped.labels)
+        assert result.inertia == capped.inertia
+
+    def test_fewer_than_three_positions_rejected(self):
+        points = pts([[0, 0], [1, 0], [0, 0], [1, 0]])
+        with pytest.raises(InvalidInputError, match="2 distinct positions"):
+            elbow_select_k(points, 8, seed=0)
 
     @pytest.mark.parametrize(
         "k_max, seed, problem",
@@ -275,15 +313,21 @@ class TestDbscanWithPostprocess:
         assert sorted(n for c in full.clusters for n in c) == list(range(10))
 
 
+def distinct_positions(x):
+    return len(np.unique(x, axis=0))
+
+
 @st.composite
 def points_with_duplicates(draw):
-    """2-14 points drawn from fewer or equally many distinct ones, and a k."""
+    """2-14 points drawn from fewer or equally many distinct ones, and a k
+    up to the number of distinct positions they take."""
     m = draw(st.integers(2, 14))
     distinct = draw(st.integers(1, m))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     x = rng.random((distinct, 2))[rng.integers(distinct, size=m)]
-    k = draw(st.one_of(st.just(m), st.integers(1, m)))
+    taken = distinct_positions(x)
+    k = draw(st.one_of(st.just(taken), st.integers(1, taken)))
     return x, k, seed
 
 
@@ -292,8 +336,25 @@ def points_with_ks(draw):
     """Points as ``points_with_duplicates`` draws them, with every k up to
     its k, as the elbow fits them, or up to four distinct k in any order."""
     x, k, seed = draw(points_with_duplicates())
-    some = st.lists(st.integers(1, x.shape[0]), min_size=1, max_size=4, unique=True)
+    taken = distinct_positions(x)
+    some = st.lists(st.integers(1, taken), min_size=1, max_size=4, unique=True)
     return x, draw(st.one_of(st.just(range(1, k + 1)), some)), seed
+
+
+@st.composite
+def points_on_lines(draw):
+    """2-5 short lines of 1-5 points laid end to end on one axis, points
+    0.25 or 0.5 apart within a line and 0.6-1 apart between lines, so a
+    one-point line often sits within eps = 1 of core points of the lines
+    on both sides without being a core point itself."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = []
+    for line in range(rng.integers(2, 6)):
+        if line:
+            gaps.append(rng.choice([0.6, 0.75, 0.9, 1.0]))
+        gaps.extend(rng.choice([0.25, 0.5], size=rng.integers(0, 5)))
+    xs = np.concatenate([[0.0], np.cumsum(gaps)])
+    return np.column_stack([xs, np.zeros_like(xs)])
 
 
 class TestDbscanEqualsBfs:
@@ -310,6 +371,14 @@ class TestDbscanEqualsBfs:
         d = compute_distance_matrix(pts(x))
         result = dbscan(d, eps, min_pts)
         assert (result.clusters, result.noise) == dbscan_bfs(d, eps, min_pts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(points_on_lines(), st.integers(1, 5))
+    def test_equals_bfs_on_lines_at_spacings_near_eps(self, x, min_pts):
+        # border points within eps of two clusters test the tie rule too
+        d = compute_distance_matrix(pts(x))
+        result = dbscan(d, 1.0, min_pts)
+        assert (result.clusters, result.noise) == dbscan_bfs(d, 1.0, min_pts)
 
 
 class TestKMeansBitIdentity:
@@ -372,7 +441,7 @@ class TestKMeansSeedingPrefix:
 
     @settings(max_examples=60, deadline=None)
     @given(points_with_duplicates())
-    @example((np.zeros((4, 2)), 4, 0))  # all points coincide: no draw after the first
+    @example((np.repeat(np.eye(2), 3, axis=0), 2, 0))  # 6 points at 2 positions
     def test_prefix_equals_seeding_at_k(self, case):
         x, k_max, seed = case
         seeding = _kmeans_pp_init_fits(x, k_max, _restart_rngs(seed))
@@ -408,7 +477,7 @@ class TestKMeansLockstep:
 
     @settings(max_examples=60, deadline=None)
     @given(points_with_ks())
-    @example((np.zeros((4, 2)), range(1, 5), 0))  # every k but 1 repairs empty clusters
+    @example((np.repeat(TWO_ROWS[:3], 2, axis=0), range(1, 4), 0))  # 3 positions, twice
     @example((TWO_ROWS, range(1, 9), 0))  # k = 6, 7 move off if slots past k start as points
     @example((TWO_ROWS, [2, 5], 0))  # the ks need not run from 1, nor ascend
     @example((TWO_ROWS, [5, 2], 0))
@@ -423,11 +492,11 @@ class TestKMeansLockstep:
             assert fit.inertia == alone.inertia
 
     @settings(max_examples=25, deadline=None)
-    @given(points_with_duplicates())
-    def test_elbow_picks_the_per_restart_fit(self, case):
+    @given(points_with_duplicates(), st.integers(3, 10))
+    def test_elbow_picks_the_per_restart_fit(self, case, k_max):
+        # the elbow fits k = 1..min(k_max, distinct positions)
         x, _, seed = case
-        assume(x.shape[0] >= 3)
-        k_max = min(8, x.shape[0])
+        assume(distinct_positions(x) >= 3)
         result = elbow_select_k(pts(x), k_max, seed=seed)
         centroids, labels, inertia = elbow_per_restart(x, k_max, seed)
         assert result.k == centroids.shape[0]

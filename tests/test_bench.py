@@ -471,6 +471,21 @@ class TestCliErrors:
         assert f"Error: --k must be 'auto' or a positive integer, got '{k}'" in result.output
         assert "Traceback" not in result.output
 
+    def test_kmeans_k_beyond_the_distinct_positions(self, tmp_path):
+        points_path = tmp_path / "points.csv"
+        rows = [f"p{i},0.1,0.2" for i in range(3)] + [f"q{i},0.5,0.5" for i in range(3)]
+        points_path.write_text("id,lat,lon\n" + "\n".join(rows) + "\n")
+        out_path = tmp_path / "k.json"
+        result = CliRunner().invoke(
+            cli_main,
+            ["kmeans", "--input", str(points_path), "--k", "3", "--out", str(out_path)],
+        )
+        assert result.exit_code == 1
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == ["Error: k = 3 exceeds the 2 distinct point positions"]
+        assert "Traceback" not in result.output
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("command", [["hafnian"], ["sample", "--n-mean", "1", "--graph"]])
     @pytest.mark.parametrize("line", ["x 2", "0 1.5"])
     def test_edge_list_with_a_non_integer_node(self, tmp_path, command, line):

@@ -300,8 +300,8 @@ class TestEncoding:
 
     @pytest.mark.parametrize("mode", [MODE_PNR, MODE_THRESHOLD])
     def test_sampler_rejects_a_target_beyond_the_bracket(self, mode):
-        # the sampler calibrates without building an encoding, and must not
-        # draw at the cap's ~4.9e13 photons in place of the target
+        # the sampler takes c from an encoding, whose check must stop it from
+        # drawing at the cap's ~4.9e13 photons in place of the target
         with pytest.raises(InvalidInputError, match="mean photons"):
             sample(K4, 1e15, 5, mode=mode, seed=0)
         with pytest.raises(InvalidInputError, match="mean photons"):
@@ -709,17 +709,15 @@ THRESHOLD_SPLIT_CASES = [
 class TestSupport:
     @pytest.mark.parametrize("mode", [MODE_PNR, MODE_THRESHOLD])
     def test_tables_calibrate_once(self, mode):
-        # the tables once re-encoded the graph, whose check evaluated the
-        # mean photon number three more times
+        # the tables take c from one encoding and calibrate nowhere else
         a = graph_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)])
-        lam = np.abs(gbs_engine._sorted_eigh(a)[0])
-        spy = mock.Mock(wraps=gbs_engine._mean_photons)
-        with mock.patch.object(gbs_engine, "_mean_photons", spy):
-            calibrate_scaling(lam, 2.0)
-            alone = spy.call_count
-            spy.reset_mock()
+        encoded = mock.Mock(wraps=encode)
+        calibrated = mock.Mock(wraps=calibrate_scaling)
+        with mock.patch.object(gbs_engine, "encode", encoded), mock.patch.object(
+            gbs_engine, "calibrate_scaling", calibrated
+        ):
             GraphSampler(a, 2.0, mode).tables
-        assert spy.call_count == alone
+        assert encoded.call_count == calibrated.call_count == 1
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(a=split_graphs(), n_mean=st.floats(0.1, 6.0))

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbsclust import graph_core
 from gbsclust.errors import InvalidInputError
 from gbsclust.graph_core import (
     PointSet,
@@ -138,6 +141,21 @@ class TestBuildAdjacency:
             build_adjacency(d, float("nan"))
         assert np.array_equal(build_adjacency(d, float("inf")), np.ones((3, 3)) - np.eye(3))
 
+    def test_nan_distances_rejected(self):
+        # NaN fails d < d_tilde, so the graph came back edgeless
+        with pytest.raises(InvalidInputError, match="finite"):
+            build_adjacency(np.full((3, 3), np.nan), 1.0)
+
+    def test_asymmetric_distances_rejected(self):
+        # the "graph" came back asymmetric
+        with pytest.raises(InvalidInputError, match="symmetric"):
+            build_adjacency(np.array([[0.0, 1.0], [5.0, 0.0]]), 2.0)
+
+    def test_non_square_distances_rejected(self):
+        # a 2x3 matrix gave a 2x3 "graph"
+        with pytest.raises(InvalidInputError, match="square"):
+            build_adjacency(np.zeros((2, 3)), 1.0)
+
 
 class TestThresholdGraph:
     def test_percentile_and_explicit_threshold(self):
@@ -145,6 +163,13 @@ class TestThresholdGraph:
         d = compute_distance_matrix(points)
         d_tilde = percentile(upper_triangle_values(d), 0.5)
         assert np.array_equal(threshold_graph(d, 0.5), build_adjacency(d, d_tilde))
+
+    def test_distances_checked_once(self):
+        d = compute_distance_matrix(pts((0, 0), (1, 0), (3, 0), (7, 0)))
+        spy = mock.Mock(wraps=check_distances)
+        with mock.patch.object(graph_core, "check_distances", spy):
+            threshold_graph(d, 0.5)
+        assert spy.call_count == 1
 
     def test_zero_threshold_rejected(self):
         d = compute_distance_matrix(pts((1, 1), (1, 1), (1, 1), (4, 4)))
@@ -316,3 +341,11 @@ class TestFileFormats:
         a = read_edge_list(path, n_nodes=4)
         assert a.shape == (4, 4)
         assert a.sum() == 2
+
+    @pytest.mark.parametrize("n_nodes", [-1, 2.5, True])
+    def test_edge_list_bad_node_count_rejected(self, tmp_path, n_nodes):
+        # -1 reached numpy's bare ValueError, 2.5 a TypeError
+        path = tmp_path / "graph.txt"
+        path.write_text("0 1\n")
+        with pytest.raises(InvalidInputError, match="n_nodes must be an integer of at least 0"):
+            read_edge_list(path, n_nodes=n_nodes)
