@@ -47,6 +47,8 @@ from .errors import (
     check_seed,
 )
 from .matchers import (
+    PNR_MAX_NODES,
+    TABLE_TILE,
     _check_symmetric,
     hafnian_all_subsets,
     hafnian_fast,
@@ -73,14 +75,11 @@ MODE_THRESHOLD = "threshold"
 
 # exact subset enumeration bounds per connected component of k nodes,
 # whose table holds 2^(k-1) weights in photon-counting mode (its even
-# subsets) and 2^k in threshold mode; the threshold bound dates from when
-# each subset took its own pair of determinants, and is kept so that the
-# same graphs are accepted
-PNR_MAX_NODES = 26
+# subsets, up to the sweep's PNR_MAX_NODES) and 2^k in threshold mode; the
+# threshold bound dates from when each subset took its own pair of
+# determinants, and is kept so that the same graphs are accepted
 THRESHOLD_MAX_NODES = 20
 
-# entries per block of the photon-counting table build
-TABLE_BLOCK = 1 << 12
 # Schur complement entries per chunk of the threshold table build
 THRESHOLD_BLOCK = 1 << 17
 
@@ -509,20 +508,25 @@ class GraphSampler:
             if self.mode == MODE_PNR:
                 weights = hafnian_all_subsets(sub)
                 # square, times c^|S| and cumulative sum in one pass over
-                # aligned blocks, where |s + i| = |s| + |i| and a packed
-                # entry's subset has that many nodes rounded up to even; the
-                # running total enters a block's first entry before its
-                # cumsum, so every sum adds in the order of one cumsum over
-                # the table
-                low = np.bitwise_count(np.arange(min(weights.size, TABLE_BLOCK)))
+                # tiles, where |s + i| = |s| + |i| and a packed entry's
+                # subset has that many nodes rounded up to even, so a
+                # tile's factors depend only on the popcount of its start
+                # s and are built once per popcount; the running total
+                # enters a tile's first entry before its cumsum, so every
+                # sum adds in the order of one cumsum over the table
+                width = min(weights.size, TABLE_TILE)
+                low = np.bitwise_count(np.arange(width))
+                factors = []
+                for count in range((weights.size // width).bit_length()):
+                    size = low + count
+                    factors.append(powers[size + (size & 1)])
                 carry = 0.0
-                for s in range(0, weights.size, low.size):
-                    block = weights[s:s + low.size]
-                    block *= block
-                    size = s.bit_count() + low
-                    block *= powers[size + (size & 1)]
-                    block[0] += carry
-                    carry = np.cumsum(block, out=block)[-1]
+                for s in range(0, weights.size, width):
+                    tile = weights[s:s + width]
+                    np.multiply(tile, tile, out=tile)
+                    np.multiply(tile, factors[s.bit_count()], out=tile)
+                    tile[0] += carry
+                    carry = np.cumsum(tile, out=tile)[-1]
             else:
                 weights = _threshold_weights(sub, c)
                 np.cumsum(weights, out=weights)

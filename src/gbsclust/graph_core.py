@@ -299,8 +299,9 @@ def read_edge_list(path, n_nodes: int | None = None) -> np.ndarray:
     """Read a ``u v`` per line edge list into an adjacency matrix.
 
     Node count defaults to max index + 1; trailing isolated nodes need an
-    explicit ``n_nodes``.  A line that is not two integers raises
-    InvalidInputError naming the path and the 1-based line.
+    explicit ``n_nodes``.  A line that is not two distinct nonnegative
+    integers, or names a node past ``n_nodes``, raises InvalidInputError
+    naming the path and the 1-based line.
     """
     if n_nodes is not None:
         check_integer("n_nodes", n_nodes, 0)
@@ -319,13 +320,15 @@ def read_edge_list(path, n_nodes: int | None = None) -> np.ndarray:
             except ValueError:
                 raise InvalidInputError(f"non-integer node in {where}: {line!r}") from None
             if u < 0 or v < 0 or u == v:
-                raise InvalidInputError(f"bad edge ({u}, {v})")
+                raise InvalidInputError(f"bad edge ({u}, {v}) in {where}")
+            if n_nodes is not None and max(u, v) >= n_nodes:
+                raise InvalidInputError(
+                    f"edge ({u}, {v}) in {where} exceeds node count {n_nodes}"
+                )
             edges.append((u, v))
     if n_nodes is None:
         n_nodes = max((max(e) for e in edges), default=-1) + 1
     a = np.zeros((n_nodes, n_nodes))
     for u, v in edges:
-        if u >= n_nodes or v >= n_nodes:
-            raise InvalidInputError(f"edge ({u}, {v}) exceeds node count {n_nodes}")
         a[u, v] = a[v, u] = 1.0
     return a

@@ -24,7 +24,7 @@ import itertools
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError
+from .errors import CapacityError, InvalidInputError, NumericError
 
 __all__ = [
     "hafnian",
@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 SYMMETRY_ATOL = 1e-12
+# the most nodes ``hafnian_all_subsets`` tabulates: 2^25 entries, 256 MiB
+PNR_MAX_NODES = 26
+# entries per tile of the hafnian sweep and of the sampler's pass over its
+# table: 32 KiB of floats, which stay in cache while a tile is worked on
+TABLE_TILE = 1 << 12
 
 
 def _check_symmetric(b: np.ndarray) -> np.ndarray:
@@ -45,9 +50,10 @@ def _check_symmetric(b: np.ndarray) -> np.ndarray:
     # NaN never equals itself, so it still reaches allclose and is rejected
     if not (b == b.T).all() and not np.allclose(b, b.T, rtol=0.0, atol=SYMMETRY_ATOL):
         raise InvalidInputError("matrix must be symmetric within 1e-12")
-    # inf == inf, so an infinite entry passes the symmetry test
-    bad = np.argwhere(~np.isfinite(b)).tolist()
-    if bad:
+    # inf == inf, so an infinite entry passes the symmetry test; the bad
+    # positions are looked up only for the message
+    if not np.isfinite(b).all():
+        bad = np.argwhere(~np.isfinite(b)).tolist()
         raise InvalidInputError(f"matrix entries must be finite; not so at {bad[:4]}")
     return b
 
@@ -86,17 +92,34 @@ def hafnian_all_subsets(b: np.ndarray) -> np.ndarray:
     n >= 1 it has 2^(n-1) entries, and ``t[k]`` is the hafnian of ``b``
     restricted to the index set of mask (k << 1) | parity(k).  Node 0 is
     implied by the parity; node h >= 1 is packed bit h - 1.  Ascending k is
-    ascending mask.  For n = 0 the table is ``[1.0]``.
+    ascending mask.  For n = 0 the table is ``[1.0]``.  A matrix of more
+    than ``PNR_MAX_NODES`` nodes raises CapacityError before anything is
+    allocated.
 
     Recurses on the highest node h of a set S:
     Haf(S) = sum over j in S, j < h of b[j, h] * Haf(S - {h, j}), with j
     ascending.  The sets whose top node is h form the block
-    [2^(h-1), 2^h), filled from the finished entries below 2^(h-1).  An
-    update for j >= 1 adds contiguous runs of 2^(j-1) entries, with no
-    index arrays; the update for node 0 adds to the entries whose offset in
-    the block has even popcount, which are the sets holding node 0.
-    O(n * 2^(n-1)) time and O(2^(n-1)) memory; the sampler calls it once
-    per connected component.
+    [2^(h-1), 2^h), filled from the finished entries below 2^(h-1).  The
+    update for j >= 1 adds to the entries whose offset in the block has
+    bit j - 1 set, in runs of 2^(j-1), the entries 2^(j-1) below them; the
+    update for node 0 adds to the entries whose offset has even popcount,
+    which are the sets holding node 0, the entries at the same offset.
+
+    The block is walked in tiles of up to ``TABLE_TILE`` entries, which
+    stay in cache while every update, j ascending, is applied to them, so
+    each entry receives the same adds in the same order as in a sweep of
+    whole blocks.  Node 0's update, and in a full tile an update whose
+    runs are at most 1/64 of it, is one contiguous shifted add of the
+    source ANDed, as int64 bits, with a 0 / -1 mask over the tile's
+    offsets.  x & 0 is +0.0 for every float x, inf and NaN included (a
+    0.0 / 1.0 product would turn inf into NaN), and adding a zero leaves an
+    entry as it was: every entry starts at +0.0, and a sum is -0.0 only
+    when both its terms are.  Runs of half a tile or more are one add to
+    the tile's upper half, to all of it, or to none of it; the runs between
+    are strided views.  The parity mask covers two tiles, and a run's mask
+    is built when a full tile first takes it.  O(n * 2^(n-1)) time, and
+    O(2^(n-1)) memory plus O(tile) for the masks; the sampler calls it
+    once per connected component.
 
     On a 0/1 matrix every entry is a perfect-matching count, at most
     25!! < 2^53 for 26 nodes, so every partial sum is an exact integer and
@@ -105,39 +128,75 @@ def hafnian_all_subsets(b: np.ndarray) -> np.ndarray:
     """
     b = _check_symmetric(b)
     n = b.shape[0]
+    if n > PNR_MAX_NODES:
+        raise CapacityError(
+            f"a hafnian table of {n} nodes exceeds the {PNR_MAX_NODES}-node bound; "
+            f"it would need {8 << (n - 1)} bytes"
+        )
     table = np.zeros(1 << max(n - 1, 0))
     table[0] = 1.0
-    # even[i]: i has even popcount; each doubling flips the parity of its copy
-    even = np.ones(max(table.size >> 1, 1), dtype=bool)
-    s = 1
-    while s < even.size:
-        even[s:2 * s] = ~even[:s]
+    bits = table.view(np.int64)
+    # the longest tile; masks are 0 or -1 (every bit set) over its offsets
+    width = min(max(table.size >> 1, 1), TABLE_TILE)
+    # parity[i] is -1 where i has even popcount, and a tile whose start has
+    # odd popcount reads it from offset width on
+    parity = np.empty(2 * width, dtype=np.int64)
+    parity[:8] = (-1, 0, 0, -1, 0, -1, -1, 0)[:parity.size]
+    s = 8
+    while s < parity.size:
+        # offset s + i has one more bit set than offset i
+        np.invert(parity[:s], out=parity[s:2 * s])
         s *= 2
+    # runs[j] is -1 at the offsets with bit j - 1 set, built when a full
+    # tile first takes it
+    runs = {}
+    columns = b.T.tolist()
     for h in range(1, n):
-        low = table[:1 << (h - 1)]
-        block = table[1 << (h - 1):1 << h]
-        for j in range(h):
-            bjh = b[j, h]
-            if bjh == 0.0:
-                continue
-            # unit entries, all of a 0/1 adjacency, skip the product
-            if j == 0:
-                # node 0 is in the sets whose offset in the block is even
-                np.add(block, low if bjh == 1.0 else bjh * low, out=block,
-                       where=even[:low.size])
-            else:
-                # the runs of 2^(j-1) entries without node j feed the runs with it
-                source = low.reshape(-1, 2, 1 << (j - 1))[:, 0, :]
-                block.reshape(-1, 2, 1 << (j - 1))[:, 1, :] += (
-                    source if bjh == 1.0 else bjh * source
-                )
+        size = 1 << (h - 1)
+        low = table[:size]
+        block = table[size:2 * size]
+        step = min(size, width)
+        partners = [(j, w) for j, w in enumerate(columns[h][:h]) if w != 0.0]
+        for t0 in range(0, size, step):
+            tile = block[t0:t0 + step]
+            for j, w in partners:
+                run = (1 << j) >> 1
+                if j == 0:
+                    # node 0 is in the sets whose offset has even popcount
+                    start = width * (t0.bit_count() & 1)
+                    mask = parity[start:start + step]
+                    source = np.bitwise_and(bits[t0:t0 + step], mask).view(np.float64)
+                    target = tile
+                elif 64 * run <= step == TABLE_TILE:
+                    # in a full tile, a strided view would pay for each of 32 or more runs
+                    if j not in runs:
+                        runs[j] = np.zeros(step, dtype=np.int64)
+                        runs[j].reshape(-1, 2, run)[:, 1, :] = -1
+                    mask = runs[j][run:]
+                    source = np.bitwise_and(bits[t0:t0 + mask.size], mask).view(np.float64)
+                    target = tile[run:]
+                elif 2 * run < step:
+                    # the runs without node j feed the runs with it
+                    source = low[t0:t0 + step].reshape(-1, 2, run)[:, 0, :]
+                    target = tile.reshape(-1, 2, run)[:, 1, :]
+                elif run < step or t0 & run:
+                    # the tile's upper half, or all of it, holds node j
+                    start = run % step
+                    source = low[t0 + start - run:t0 + step - run]
+                    target = tile[start:]
+                else:
+                    continue
+                # unit weights, all of a 0/1 adjacency, skip the product
+                np.add(target, source if w == 1.0 else w * source, out=target)
     return table
 
 
 def hafnian_fast(b: np.ndarray) -> float:
     """Hafnian via the subset dynamic program; equals :func:`hafnian`.
 
-    Memory is O(2^(n-1)).  ``gbs_engine.subset_weight`` and
+    Memory is O(2^(n-1)).  An odd matrix is 0 without a table, so only an
+    even one of more than ``PNR_MAX_NODES`` nodes raises CapacityError.
+    ``gbs_engine.subset_weight`` and
     :func:`count_perfect_matchings` call it; the sampler's weight tables
     call :func:`hafnian_all_subsets` directly.
     """

@@ -3,7 +3,8 @@
 Everything here is deliberately written from scratch, without calling into
 the package, so the tests compare two genuinely different routes to the same
 value.  The exceptions are the earlier implementations kept verbatim as
-references (``threshold_weights_by_combinations``,
+references (``hafnian_all_subsets_untiled``,
+``threshold_weights_by_combinations``,
 ``threshold_draws_whole_graph``, ``kmeans_pp_init_all_centroids``,
 ``repair_empty_rescanning``, ``kmeans_per_restart``, ``post_process_loop``),
 which raise the package's error types and match the package bit for bit,
@@ -198,6 +199,45 @@ def hafnian_table_loops(b: np.ndarray) -> np.ndarray:
                 if not (source >> j) & 1:
                     table[source | (1 << j) | (1 << h)] += bjh * table[source]
     return np.array(table)
+
+
+def hafnian_all_subsets_untiled(b: np.ndarray) -> np.ndarray:
+    """The packed subset hafnian table, one whole block per update.
+
+    The sweep of ``matchers.hafnian_all_subsets`` before it was tiled: the
+    same updates, j ascending, each applied to the whole block of top node
+    h at once, node 0's through a boolean parity mask of 2^(n-2) entries
+    and the others through strided views.  Takes a checked matrix.
+    """
+    b = np.asarray(b, dtype=float)
+    n = b.shape[0]
+    table = np.zeros(1 << max(n - 1, 0))
+    table[0] = 1.0
+    # even[i]: i has even popcount; each doubling flips the parity of its copy
+    even = np.ones(max(table.size >> 1, 1), dtype=bool)
+    s = 1
+    while s < even.size:
+        even[s:2 * s] = ~even[:s]
+        s *= 2
+    for h in range(1, n):
+        low = table[:1 << (h - 1)]
+        block = table[1 << (h - 1):1 << h]
+        for j in range(h):
+            bjh = b[j, h]
+            if bjh == 0.0:
+                continue
+            # unit entries, all of a 0/1 adjacency, skip the product
+            if j == 0:
+                # node 0 is in the sets whose offset in the block is even
+                np.add(block, low if bjh == 1.0 else bjh * low, out=block,
+                       where=even[:low.size])
+            else:
+                # the runs of 2^(j-1) entries without node j feed the runs with it
+                source = low.reshape(-1, 2, 1 << (j - 1))[:, 0, :]
+                block.reshape(-1, 2, 1 << (j - 1))[:, 1, :] += (
+                    source if bjh == 1.0 else bjh * source
+                )
+    return table
 
 
 def unpack_table(packed, n: int) -> np.ndarray:

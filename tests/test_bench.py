@@ -497,6 +497,38 @@ class TestCliErrors:
         assert "g.txt, line 2" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("command", [["hafnian"], ["sample", "--n-mean", "1", "--graph"]])
+    @pytest.mark.parametrize("line", ["2 2", "-1 2"])
+    def test_edge_list_with_a_bad_edge(self, tmp_path, command, line):
+        graph_path = tmp_path / "g.txt"
+        graph_path.write_text(f"0 1\n{line}\n")
+        result = CliRunner().invoke(cli_main, command + [str(graph_path)])
+        assert result.exit_code == 1
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"Error: bad edge ({line.replace(' ', ', ')}) in ")
+        assert errors[0].endswith("g.txt, line 2")
+        assert "Traceback" not in result.output
+
+    def test_hafnian_past_the_sweep_bound(self, tmp_path):
+        # a 40-node cycle's table would need 4 TiB; a 27-node one has no
+        # perfect matching and needs no table
+        for n, expected in ((40, None), (27, "0")):
+            graph_path = tmp_path / f"cycle{n}.txt"
+            graph_path.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+            result = CliRunner().invoke(cli_main, ["hafnian", str(graph_path)])
+            assert "Traceback" not in result.output
+            if expected is None:
+                assert result.exit_code == 1
+                errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+                assert errors == [
+                    "Error: a hafnian table of 40 nodes exceeds the 26-node bound; "
+                    f"it would need {8 << 39} bytes"
+                ]
+            else:
+                assert result.exit_code == 0, result.output
+                assert result.output == f"{expected}\n"
+
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_dbscan_non_finite_eps(self, tmp_path, eps):
         points_path = tmp_path / "points.csv"

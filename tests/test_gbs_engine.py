@@ -771,13 +771,13 @@ class TestSupport:
         ids=["one 17-node component", "16 + 6 split"],
     )
     def test_blockwise_table_build_equals_three_passes(self, groups):
-        # a 16-node component's table spans many blocks, so the running
-        # total is carried across block boundaries
+        # a 16-node component's table spans many tiles, so the running
+        # total is carried across tile boundaries
         a = split_graph(groups, 0.7, 21)
         n_mean = 4.0
         sampler = GraphSampler(a, n_mean)
         largest = max(nodes.size for nodes in sampler.components)
-        assert largest >= 16 and (1 << largest) > gbs_engine.TABLE_BLOCK
+        assert largest >= 16 and (1 << largest) > gbs_engine.TABLE_TILE
         powers = encode(a, n_mean).c ** np.arange(a.shape[0] + 1, dtype=float)
         for nodes, cum in zip(sampler.components, sampler.tables):
             h = hafnian_all_subsets(a[np.ix_(nodes, nodes)])
@@ -792,8 +792,8 @@ class TestSupport:
 
     def test_table_build_peaks_near_the_packed_table(self):
         # a connected 20-node graph's packed table is 8 << 19 bytes; the
-        # sweep adds a one-byte parity mask per two entries, the table pass
-        # only block-sized temporaries
+        # sweep adds only tile-sized masks and temporaries, and the table
+        # pass one factor array per tile start popcount
         a = np.ones((20, 20)) - np.eye(20)
         GraphSampler(SINGLE_EDGE, 1.0).tables  # warm up lazy imports and state
         sampler = GraphSampler(a, 5.0)
@@ -803,7 +803,7 @@ class TestSupport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * (8 << 19)
+        assert peak <= 1.1 * (8 << 19)
 
     def test_descent_never_takes_a_massless_half(self):
         # on path 0-1-2, once nodes 1 and 2 are in, node 0's bit-1 half

@@ -335,6 +335,21 @@ class TestFileFormats:
         with pytest.raises(InvalidInputError, match=r"graph\.txt, line 3"):
             read_edge_list(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("2 2", r"bad edge \(2, 2\) in .*graph\.txt, line 3$"),
+            ("-1 2", r"bad edge \(-1, 2\) in .*graph\.txt, line 3$"),
+            ("1 4", r"edge \(1, 4\) in .*graph\.txt, line 3 exceeds node count 4$"),
+        ],
+        ids=["self-loop", "negative", "past-node-count"],
+    )
+    def test_edge_list_bad_edge_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "graph.txt"
+        path.write_text(f"0 1\n\n{line}\n")
+        with pytest.raises(InvalidInputError, match=message):
+            read_edge_list(path, n_nodes=4)
+
     def test_edge_list_explicit_node_count(self, tmp_path):
         path = tmp_path / "graph.txt"
         path.write_text("0 1\n")

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbsclust.errors import InvalidInputError
+from gbsclust import matchers
+from gbsclust.errors import CapacityError, InvalidInputError
 from gbsclust.matchers import (
+    PNR_MAX_NODES,
     count_perfect_matchings,
     hafnian,
     hafnian_all_subsets,
@@ -16,6 +20,7 @@ from helpers import (
     MultisetHafnian,
     count_matchings_bruteforce,
     graph_from_edges,
+    hafnian_all_subsets_untiled,
     hafnian_bruteforce,
     hafnian_table_loops,
     unpack_table,
@@ -124,6 +129,80 @@ def zero_one_graphs(draw):
     a = np.zeros((n, n))
     a[np.triu_indices(n, 1)] = edges
     return a + a.T
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices of 0-14 nodes: 0/1 adjacencies, or weights that
+    mix zeros, unit entries and arbitrary floats of either sign."""
+    n = draw(st.integers(0, 14))
+    pairs = n * (n - 1) // 2
+    if draw(st.booleans()):
+        entry = st.sampled_from([0.0, 1.0])
+    else:
+        entry = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-4.0, 4.0))
+    b = np.zeros((n, n))
+    b[np.triu_indices(n, 1)] = draw(st.lists(entry, min_size=pairs, max_size=pairs))
+    return b + b.T
+
+
+def band_graph(n, width):
+    """0/1 graph joining the nodes at most ``width`` apart around a cycle."""
+    return graph_from_edges(n, [(i, (i + d) % n) for i in range(n) for d in range(1, width + 1)])
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+class TestTiledSweep:
+    """The tiled sweep gives the untiled one's table bit for bit.
+
+    Tiles of 2-16 entries make every level past the first few span many
+    tiles, so node 0's masked update meets tiles of odd popcount, and runs
+    of half a tile or more take whole-tile adds or none; 64 and 128 entries
+    also give masked runs (of at most 1/64 of a full tile) and strided ones.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(b=symmetric_matrices(), tile=st.sampled_from([2, 4, 8, 16, 64, 128]))
+    def test_equals_the_untiled_sweep(self, b, tile):
+        with mock.patch.object(matchers, "TABLE_TILE", tile):
+            table = hafnian_all_subsets(b)
+        assert same_bits(table, hafnian_all_subsets_untiled(b))
+
+    def test_band_graph_at_the_real_tile(self):
+        # 22 nodes: the top blocks span 256 tiles, and the band's wrap joins
+        # the top nodes to node 0 and to the short runs of nodes 1-3, so
+        # every kind of update runs, node 0's on tiles of odd popcount too
+        a = band_graph(22, 4)
+        assert same_bits(hafnian_all_subsets(a), hafnian_all_subsets_untiled(a))
+
+    def test_overflowed_entries_stay_inf(self):
+        # every subset of 4 or more nodes of K8 weighted 1e200 overflows; a
+        # 0.0 / 1.0 mask product would make those entries NaN
+        b = 1e200 * (np.ones((8, 8)) - np.eye(8))
+        with np.errstate(over="ignore"):
+            table = hafnian_all_subsets(b)
+            oracle = hafnian_all_subsets_untiled(b)
+        assert np.count_nonzero(np.isinf(table)) == 99
+        assert not np.isnan(table).any()
+        assert same_bits(table, oracle)
+
+
+class TestSweepCapacity:
+    @pytest.mark.parametrize("n", [PNR_MAX_NODES + 1, PNR_MAX_NODES + 2, 40])
+    def test_too_many_nodes_refused_before_allocation(self, n):
+        # 40 nodes would need 4 TiB, which numpy itself would refuse
+        with pytest.raises(CapacityError, match=f"{n} nodes exceeds the 26-node bound") as info:
+            hafnian_all_subsets(np.zeros((n, n)))
+        assert f"it would need {8 << (n - 1)} bytes" in str(info.value)
+
+    def test_fast_hafnian_past_the_bound(self):
+        # an odd matrix has hafnian 0 and needs no table
+        assert hafnian_fast(np.ones((27, 27)) - np.eye(27)) == 0.0
+        with pytest.raises(CapacityError, match="28 nodes"):
+            hafnian_fast(np.ones((28, 28)) - np.eye(28))
 
 
 class TestSubsetTable:
