@@ -208,6 +208,14 @@ def _lloyd(
     return centroids, labels, inertia
 
 
+def _distinct_positions(x: np.ndarray) -> int:
+    """The number of distinct rows of ``x``: equal rows lie next to each
+    other once sorted.  ``np.unique(x, axis=0)`` counts the same but
+    imports ``numpy.ma``."""
+    ordered = x[np.lexsort(x.T)]
+    return 1 + int(np.count_nonzero((ordered[1:] != ordered[:-1]).any(axis=1)))
+
+
 def kmeans(points: PointSet, k: int, seed: int | None = None) -> KMeansResult:
     """Lloyd's k-means with k-means++ seeding, best of 10 restarts.
 
@@ -223,7 +231,7 @@ def kmeans(points: PointSet, k: int, seed: int | None = None) -> KMeansResult:
     x = points.coords
     check_integer("k", k, 1)
     check_seed(seed)
-    distinct = len(np.unique(x, axis=0))
+    distinct = _distinct_positions(x)
     if k > distinct:
         raise InvalidInputError(f"k = {k} exceeds the {distinct} distinct point positions")
     return _best_fits(x, [k], seed)[0]
@@ -263,7 +271,7 @@ def elbow_select_k(
     """
     check_integer("k_max", k_max, 3)
     check_seed(seed)
-    distinct = len(np.unique(points.coords, axis=0))
+    distinct = _distinct_positions(points.coords)
     if distinct < 3:
         raise InvalidInputError(
             f"the elbow needs k up to 3, but the points have {distinct} distinct positions"

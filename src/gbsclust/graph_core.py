@@ -9,11 +9,12 @@ the point order.  All functions here are pure.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, check_integer
+from .errors import CapacityError, InvalidInputError, check_integer
 
 __all__ = [
     "PointSet",
@@ -33,6 +34,9 @@ __all__ = [
     "save_points_csv",
     "read_edge_list",
 ]
+
+# the largest dense adjacency matrix an edge list is read into, 1 GiB
+EDGE_LIST_MAX_BYTES = 1 << 30
 
 
 @dataclass
@@ -94,7 +98,12 @@ def percentile(values, q: float) -> float:
     """Linear-interpolation percentile of ``values`` at fraction ``q``.
 
     q=0 gives the minimum, q=1 the maximum; interior values interpolate
-    between order statistics at position q * (n - 1).
+    between order statistics at position q * (n - 1).  The value is the one
+    ``np.quantile(values, q, method="linear")`` gives, bit for bit: the same
+    position, weight and two-sided interpolation, read off a sort instead of
+    numpy's partition, which imports ``numpy.ma`` through ``np.unique``.  A
+    zero may differ in sign where 0.0 and -0.0 tie, as the two orders may
+    place them apart.
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
@@ -103,7 +112,17 @@ def percentile(values, q: float) -> float:
         raise InvalidInputError("percentile of a population with NaN or infinite values")
     if not 0.0 <= q <= 1.0:
         raise InvalidInputError(f"percentile fraction must be in [0, 1], got {q}")
-    return float(np.quantile(values, q, method="linear"))
+    ordered = np.sort(values)
+    last = ordered.size - 1
+    position = last * float(q)
+    # at the last index numpy reads the last value on both sides, as index -1
+    below = math.floor(position) if position < last else -1
+    low = float(ordered[below])
+    high = float(ordered[below + 1]) if below >= 0 else low
+    t = position - below
+    diff = high - low
+    # numpy's _lerp works from the nearer end
+    return high - diff * (1 - t) if t >= 0.5 else low + diff * t
 
 
 def build_adjacency(d: np.ndarray, d_tilde: float) -> np.ndarray:
@@ -161,7 +180,8 @@ def check_adjacency(a: np.ndarray) -> np.ndarray:
         raise InvalidInputError("adjacency matrix must be symmetric")
     if np.any(np.diag(a) != 0):
         raise InvalidInputError("adjacency matrix must have a zero diagonal")
-    if not np.isin(a, (0.0, 1.0)).all():
+    # NaN equals neither; -0.0 equals 0.0
+    if not ((a == 0.0) | (a == 1.0)).all():
         raise InvalidInputError("adjacency entries must be 0 or 1")
     return a
 
@@ -301,7 +321,9 @@ def read_edge_list(path, n_nodes: int | None = None) -> np.ndarray:
     Node count defaults to max index + 1; trailing isolated nodes need an
     explicit ``n_nodes``.  A line that is not two distinct nonnegative
     integers, or names a node past ``n_nodes``, raises InvalidInputError
-    naming the path and the 1-based line.
+    naming the path and the 1-based line.  A matrix larger than
+    ``EDGE_LIST_MAX_BYTES`` (more than 11,585 nodes) raises CapacityError
+    before it is allocated.
     """
     if n_nodes is not None:
         check_integer("n_nodes", n_nodes, 0)
@@ -328,6 +350,12 @@ def read_edge_list(path, n_nodes: int | None = None) -> np.ndarray:
             edges.append((u, v))
     if n_nodes is None:
         n_nodes = max((max(e) for e in edges), default=-1) + 1
+    size = 8 * n_nodes * n_nodes
+    if size > EDGE_LIST_MAX_BYTES:
+        raise CapacityError(
+            f"an edge list of {n_nodes} nodes needs a {size}-byte adjacency matrix, "
+            f"past the {EDGE_LIST_MAX_BYTES}-byte bound"
+        )
     a = np.zeros((n_nodes, n_nodes))
     for u, v in edges:
         a[u, v] = a[v, u] = 1.0

@@ -6,8 +6,9 @@ value.  The exceptions are the earlier implementations kept verbatim as
 references (``hafnian_all_subsets_untiled``,
 ``threshold_weights_by_combinations``,
 ``threshold_draws_whole_graph``, ``kmeans_pp_init_all_centroids``,
-``repair_empty_rescanning``, ``kmeans_per_restart``, ``post_process_loop``),
-which raise the package's error types and match the package bit for bit,
+``repair_empty_rescanning``, ``kmeans_per_restart``, ``post_process_loop``,
+``silhouette_per_point``, ``breakdown_per_cluster``), which raise the
+package's error types and match the package bit for bit,
 except the threshold table, which agrees to rounding, and the readers of a sampler's
 per-component tables (``sampler_weights``, ``subset_probabilities``), which
 multiply them out over the whole graph with ``product_table`` so tests can
@@ -23,6 +24,7 @@ import numpy as np
 
 from gbsclust.errors import InvalidInputError, NumericError
 from gbsclust.gbs_engine import MODE_PNR, GraphSampler
+from gbsclust.graph_core import edge_counts
 
 
 def all_pairings(items):
@@ -530,3 +532,53 @@ def post_process_loop(unclustered, clusters, a) -> list[list[int]]:
         else:
             result[best_cid].append(node)
     return [sorted(c) for c in result if c]
+
+
+def silhouette_per_point(d: np.ndarray, clustering) -> float:
+    """Mean silhouette, one point and one ``ndarray.mean`` call at a time.
+
+    The silhouette as it was before it was taken a cluster at a time:
+    a(i) is the mean of ``d[i, others]``, others the members of i's
+    cluster other than i, in order, and b(i) the least mean of
+    ``d[i, cluster]`` over the other clusters; a singleton, a point with
+    a = b = 0 and every point of a one-cluster partition score 0.  Takes
+    a checked distance matrix.
+    """
+    if len(clustering.clusters) == 1:
+        return 0.0
+    labels = clustering.labels
+    scores = np.zeros(len(d))
+    for i in range(len(d)):
+        own = clustering.clusters[labels[i]]
+        if len(own) == 1:
+            continue  # singleton convention: s(i) = 0
+        others = [j for j in own if j != i]
+        a = float(d[i, others].mean())
+        b = min(
+            float(d[i, cluster].mean())
+            for cid, cluster in enumerate(clustering.clusters)
+            if cid != labels[i]
+        )
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    return float(scores.mean())
+
+
+def breakdown_per_cluster(clustering, a: np.ndarray) -> tuple[float, float]:
+    """(weighted density, cohesion), slicing the graph once per cluster.
+
+    The scores as they were before the edge counts were read off one
+    cluster-incidence product: each cluster's internal and external edges
+    come from ``edge_counts``.  Takes a checked 0/1 graph.
+    """
+    m = clustering.n_points
+    total = 0.0
+    deltas = []
+    for cluster in clustering.clusters:
+        n_i = len(cluster)
+        internal, external = edge_counts(a, cluster)
+        d_int = 1.0 if n_i == 1 else internal / (n_i * (n_i - 1) / 2.0)
+        d_ext = 0.0 if n_i == m else external / (n_i * (m - n_i))
+        total += n_i * d_int
+        deltas.append(d_int - d_ext)
+    return total / m, float(np.mean(deltas))

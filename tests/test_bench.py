@@ -1,6 +1,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from gbsclust.bench import (
     generate_dataset,
     run_benchmark,
 )
+import gbsclust
 from gbsclust import graph_core, metrics, qclust
 from gbsclust.cli import main as cli_main
 from gbsclust.errors import CapacityError, InvalidInputError
@@ -252,6 +257,29 @@ def test_report_bytes_pinned(tmp_path, mode, seed):
         with open(path, "rb") as fh:
             digest.update(fh.read())
     assert digest.hexdigest() == PINNED_REPORTS[(mode, seed)]
+
+
+def test_bench_leaves_numpy_ma_unimported(tmp_path):
+    # np.quantile and np.unique(..., axis=0) imported numpy.ma, about 10 ms
+    # of a fresh interpreter's first bench call
+    config_path = tmp_path / "bench.json"
+    config_path.write_text(json.dumps({"dataset_count": 2}))
+    script = (
+        "import sys\n"
+        "from gbsclust.cli import main\n"
+        f"main(['bench', '--config', {str(config_path)!r}, '--out', {str(tmp_path / 'o')!r}],"
+        " standalone_mode=False)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    package_root = str(Path(gbsclust.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestEmitReport:
@@ -508,6 +536,20 @@ class TestCliErrors:
         assert len(errors) == 1
         assert errors[0].startswith(f"Error: bad edge ({line.replace(' ', ', ')}) in ")
         assert errors[0].endswith("g.txt, line 2")
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", [["hafnian"], ["sample", "--n-mean", "1", "--graph"]])
+    def test_edge_list_past_the_matrix_bound(self, tmp_path, command):
+        # asked numpy for 6.71 GiB and ended in a traceback where memory was short
+        graph_path = tmp_path / "g.txt"
+        graph_path.write_text("0 1\n0 30000\n")
+        result = CliRunner().invoke(cli_main, command + [str(graph_path)])
+        assert result.exit_code == 1
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == [
+            "Error: an edge list of 30001 nodes needs a 7200480008-byte adjacency "
+            f"matrix, past the {1 << 30}-byte bound"
+        ]
         assert "Traceback" not in result.output
 
     def test_hafnian_past_the_sweep_bound(self, tmp_path):

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbsclust import graph_core
-from gbsclust.errors import InvalidInputError
+from gbsclust.errors import CapacityError, InvalidInputError
 from gbsclust.graph_core import (
+    EDGE_LIST_MAX_BYTES,
     PointSet,
     build_adjacency,
+    check_adjacency,
     check_distances,
     compute_distance_matrix,
     connected_components,
@@ -98,6 +100,19 @@ class TestPercentile:
         results = [percentile(values, q) for q in qs]
         assert all(a <= b + 1e-12 for a, b in zip(results, results[1:]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60),
+        st.one_of(st.sampled_from([0.0, 0.35, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_equals_numpy_linear_quantile(self, values, q):
+        ours = percentile(values, q)
+        theirs = np.quantile(np.array(values), q, method="linear")
+        # + 0.0 maps -0.0 to 0.0 and changes no other value: where 0.0 and
+        # -0.0 tie, the sort and numpy's partition may order them apart
+        assert np.float64(ours + 0.0).tobytes() == np.float64(theirs + 0.0).tobytes()
+        assert ours == theirs or (np.isnan(ours) and np.isnan(theirs))
+
 
 class TestBuildAdjacency:
     def test_edge_below_threshold(self):
@@ -155,6 +170,23 @@ class TestBuildAdjacency:
         # a 2x3 matrix gave a 2x3 "graph"
         with pytest.raises(InvalidInputError, match="square"):
             build_adjacency(np.zeros((2, 3)), 1.0)
+
+
+class TestCheckAdjacency:
+    # NaN equals nothing, itself included, so the symmetry check meets it first
+    @pytest.mark.parametrize(
+        "bad, problem", [(np.nan, "symmetric"), (2.0, "0 or 1"), (-1.0, "0 or 1")]
+    )
+    def test_entries_other_than_zero_or_one_rejected(self, bad, problem):
+        a = graph_from_edges(3, [(0, 1)])
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(InvalidInputError, match=problem):
+            check_adjacency(a)
+
+    def test_negative_zero_accepted(self):
+        a = graph_from_edges(3, [(0, 1)])
+        a[1, 2] = a[2, 1] = -0.0
+        assert check_adjacency(a) is not None
 
 
 class TestThresholdGraph:
@@ -356,6 +388,17 @@ class TestFileFormats:
         a = read_edge_list(path, n_nodes=4)
         assert a.shape == (4, 4)
         assert a.sum() == 2
+
+    def test_edge_list_past_the_matrix_bound_rejected(self, tmp_path):
+        # 0 30000 asked numpy for a 6.71 GiB matrix
+        assert 8 * 11585**2 <= EDGE_LIST_MAX_BYTES < 8 * 11586**2
+        path = tmp_path / "graph.txt"
+        path.write_text("0 1\n0 30000\n")
+        with pytest.raises(CapacityError, match="30001 nodes needs a 7200480008-byte"):
+            read_edge_list(path)
+        path.write_text("0 1\n")
+        with pytest.raises(CapacityError, match="11586 nodes"):
+            read_edge_list(path, n_nodes=11586)
 
     @pytest.mark.parametrize("n_nodes", [-1, 2.5, True])
     def test_edge_list_bad_node_count_rejected(self, tmp_path, n_nodes):

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gbsclust.errors import InvalidInputError
-from gbsclust.graph_core import PointSet, compute_distance_matrix
+from gbsclust.graph_core import PointSet, build_adjacency, compute_distance_matrix
 from gbsclust.metrics import (
+    _breakdown,
+    _row_sums,
     cohesion,
     compute_report,
     silhouette,
@@ -11,7 +16,7 @@ from gbsclust.metrics import (
 )
 from gbsclust.qclust import Clustering
 
-from helpers import graph_from_edges
+from helpers import breakdown_per_cluster, graph_from_edges, silhouette_per_point
 
 
 def pts(coords):
@@ -177,3 +182,72 @@ class TestReport:
         assert report.weighted_density == weighted_density(PAIRS_CLUSTERING, a) == 1.0
         assert report.cohesion == cohesion(PAIRS_CLUSTERING, a) == 1.0
         assert -1 <= report.silhouette <= 1
+
+
+def bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestRowSums:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 300), st.data())
+    def test_equals_np_sum_of_each_row(self, rows, n, data):
+        x = data.draw(arrays(np.float64, (rows, n), elements=st.floats(
+            allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)))
+        assert _row_sums(x).tobytes() == bits(*(np.sum(row) for row in x))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 127, 128, 129, 136, 257, 1100])
+    def test_equals_np_sum_and_mean_at_the_order_boundaries(self, n):
+        # magnitudes far apart make every change of order show in the bits
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((50, n)) * 10.0 ** rng.uniform(-300, 300, (50, n))
+        # a gather such as d[:, members] comes out column-major
+        for layout in (x, np.asfortranarray(x)):
+            assert _row_sums(layout).tobytes() == bits(*(np.sum(row) for row in x))
+            if n:
+                assert (_row_sums(layout) / n).tobytes() == bits(*(row.mean() for row in x))
+
+
+# cluster sizes: singletons, small clusters, and ones that reach numpy's
+# 8-lane and 128-entry split rules, in distinct and coincident positions
+CLUSTER_SIZES = st.lists(
+    st.one_of(st.integers(1, 3), st.integers(4, 20), st.integers(125, 140)),
+    min_size=1, max_size=5,
+).filter(lambda sizes: 2 <= sum(sizes) <= 320)
+
+
+def scored_partition(sizes, seed, spread):
+    """Points in blobs on a coarse grid, so positions may coincide, split at
+    random into clusters of ``sizes``, with their distances and a threshold
+    graph."""
+    rng = np.random.default_rng(seed)
+    m = sum(sizes)
+    centers = rng.integers(0, 4, size=(len(sizes), 2)).astype(float)
+    coords = np.repeat(centers, sizes, axis=0) + np.round(rng.normal(0, spread, (m, 2)), 1)
+    order = rng.permutation(m)
+    clusters = np.split(order, np.cumsum(sizes)[:-1])
+    d = compute_distance_matrix(pts(coords))
+    a = build_adjacency(d, 1.0)
+    return d, clustering([c.tolist() for c in clusters], m), a
+
+
+class TestEqualsPerPointOracles:
+    @settings(max_examples=120, deadline=None)
+    @given(CLUSTER_SIZES, st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 1.0]))
+    @example([1, 1, 1], 0, 1.0)  # singletons only
+    @example([9], 1, 1.0)  # one cluster
+    @example([130, 12, 1], 2, 0.0)  # one position per cluster: a = 0
+    @example([140, 133], 3, 1.0)
+    def test_scores_have_the_oracles_bits(self, sizes, seed, spread):
+        d, parts, a = scored_partition(sizes, seed, spread)
+        assert bits(silhouette(d, parts)) == bits(silhouette_per_point(d, parts))
+        assert bits(*_breakdown(parts, a)) == bits(*breakdown_per_cluster(parts, a))
+
+    @pytest.mark.parametrize("sizes", [[2, 3], [8, 1, 9], [130, 129]])
+    def test_coincident_clusters_take_the_zero_denominator_rule(self, sizes):
+        # every point at one position: a = b = 0 for every non-singleton
+        m = sum(sizes)
+        d = np.zeros((m, m))
+        parts = clustering(np.split(np.arange(m), np.cumsum(sizes)[:-1]), m)
+        assert silhouette(d, parts) == 0.0
+        assert bits(silhouette(d, parts)) == bits(silhouette_per_point(d, parts))
