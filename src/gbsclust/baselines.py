@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, check_integer, check_seed
-from .graph_core import PointSet, check_distances, connected_components
+from .graph_core import PointSet, check_adjacency, check_distances, connected_components
 from .qclust import Clustering, post_process
 
 __all__ = [
@@ -323,7 +323,7 @@ def dbscan_with_postprocess(
     """DBSCAN on the distances ``d`` whose noise points are reattached
     through the graph ``a``, one node per point."""
     raw = dbscan(d, eps, min_pts)
-    if np.shape(a) != (len(d), len(d)):
+    if len(check_adjacency(a)) != len(d):
         raise InvalidInputError(
             f"graph has shape {np.shape(a)}, the distances cover {len(d)} points"
         )

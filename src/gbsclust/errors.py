@@ -1,7 +1,18 @@
-"""Exception types shared across the package, and the integer and seed
-checks that raise one."""
+"""Exception types shared across the package, and the checks that raise one.
+
+Every test of a matrix for squareness, finiteness or symmetry lives here.
+``check_symmetric`` tests, in this order, that a matrix is square, finite
+and symmetric, and names the first property that fails, so a NaN is
+reported as not finite and never as an asymmetry.  The kernels call it at
+``matchers.SYMMETRY_ATOL``, ``check_adjacency``, ``check_distances`` and
+the densest-candidate choice at exact symmetry.  ``check_finite`` is its
+finiteness step, used on its own for point coordinates, percentile
+populations and singular values.
+"""
 
 from numbers import Integral
+
+import numpy as np
 
 
 class GbsClustError(Exception):
@@ -40,3 +51,29 @@ def check_seed(seed) -> None:
     least 0, the entropy a numpy SeedSequence takes."""
     if seed is not None:
         check_integer("seed", seed, 0)
+
+
+def check_finite(x, what: str) -> np.ndarray:
+    """``x`` as a float array; InvalidInputError, naming ``what`` and the
+    first bad positions, unless every entry is finite."""
+    x = np.asarray(x, dtype=float)
+    finite = np.isfinite(x)
+    # on the package's small matrices count_nonzero costs a third of all()
+    if np.count_nonzero(finite) < x.size:
+        bad = np.argwhere(~finite)[:4].tolist()
+        raise InvalidInputError(f"{what} must be finite; not so at {bad}")
+    return x
+
+
+def check_symmetric(x, what: str, atol: float = 0.0) -> np.ndarray:
+    """``x`` as a float array; InvalidInputError, naming ``what``, unless it
+    is square, then finite, then symmetric: exactly, or within ``atol``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise InvalidInputError(f"{what} must be square, got shape {x.shape}")
+    check_finite(x, what)
+    # exact equality is the common case and ~10x cheaper than allclose
+    if np.count_nonzero(x != x.T) and not np.allclose(x, x.T, rtol=0.0, atol=atol):
+        within = f" within {atol:g}" if atol else ""
+        raise InvalidInputError(f"{what} must be symmetric{within}")
+    return x

@@ -43,6 +43,7 @@ from .errors import (
     InvalidInputError,
     NoSolutionError,
     NumericError,
+    check_finite,
     check_integer,
     check_seed,
 )
@@ -189,7 +190,7 @@ def takagi(a: np.ndarray) -> TakagiFactors:
     the reconstruction U diag(lam) U^T exact.  The sampler needs only lam,
     which ``encode`` takes from the same sorted eigenvalues without U.
     """
-    a = _check_symmetric(a)
+    a = _check_symmetric(a, "matrix")
     evals, evecs = _sorted_eigh(a)
     factors = TakagiFactors(u=evecs * np.where(evals < 0.0, 1j, 1.0), lam=np.abs(evals))
     err = np.linalg.norm(factors.reconstruct() - a)
@@ -266,10 +267,7 @@ def calibrate_scaling(lam: np.ndarray, n_mean: float) -> float:
     6e-12 relative off); the c here is still the midpoint at the exact
     boundary.
     """
-    lam = np.asarray(lam, dtype=float)
-    if not np.isfinite(lam).all():
-        bad = lam[~np.isfinite(lam)][:4].tolist()
-        raise InvalidInputError(f"singular values must be finite, got {bad}")
+    lam = check_finite(lam, "singular values")
     if np.any(lam < 0.0):
         bad = lam[lam < 0.0][:4].tolist()
         raise InvalidInputError(f"singular values must be nonnegative, got {bad}")
@@ -309,7 +307,7 @@ def calibrate_scaling(lam: np.ndarray, n_mean: float) -> float:
 
 def encode(a: np.ndarray, n_mean: float, mode: str = MODE_PNR) -> GbsEncoding:
     """Takagi singular values of ``a`` and the rescaling for ``n_mean`` photons."""
-    lam = np.abs(_sorted_eigh(_check_symmetric(a))[0])
+    lam = np.abs(_sorted_eigh(_check_symmetric(a, "matrix"))[0])
     return GbsEncoding(lam=lam, c=calibrate_scaling(lam, n_mean), n_mean=n_mean, mode=mode)
 
 
@@ -319,7 +317,7 @@ def subset_weight(a: np.ndarray, enc: GbsEncoding, subset) -> float:
     pnr_postselected: c^|S| Haf(A_S)^2, zero for odd |S|.  threshold:
     torontonian of the paired coupling block of cA restricted to S.
     """
-    a = _check_symmetric(a)
+    a = _check_symmetric(a, "graph")
     idx = graph_core._subset_array(a, subset)
     k = idx.size
     if enc.mode == MODE_PNR:
@@ -460,7 +458,7 @@ class GraphSampler:
     """
 
     def __init__(self, a: np.ndarray, n_mean: float, mode: str = MODE_PNR):
-        self.a = _check_symmetric(a)
+        self.a = _check_symmetric(a, "graph")
         self.m = self.a.shape[0]
         limit = max_nodes(mode)
         # a lone node's hafnian is 0, but a self-loop gives it a torontonian

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, check_integer
+from .errors import CapacityError, InvalidInputError, check_finite, check_integer, check_symmetric
 
 __all__ = [
     "PointSet",
@@ -54,8 +54,7 @@ class PointSet:
         self.coords = np.asarray(self.coords, dtype=float)
         if self.coords.ndim != 2 or self.coords.shape[1] != 2:
             raise InvalidInputError("coords must have shape (M, 2)")
-        if not np.isfinite(self.coords).all():
-            raise InvalidInputError("coordinates must be finite, got NaN or inf")
+        check_finite(self.coords, "coordinates")
         if len(self.ids) != self.coords.shape[0]:
             raise InvalidInputError("ids and coords length mismatch")
         if len(set(self.ids)) != len(self.ids):
@@ -105,11 +104,9 @@ def percentile(values, q: float) -> float:
     zero may differ in sign where 0.0 and -0.0 tie, as the two orders may
     place them apart.
     """
-    values = np.asarray(values, dtype=float).ravel()
+    values = check_finite(values, "percentile population").ravel()
     if values.size == 0:
         raise InvalidInputError("percentile of an empty population")
-    if not np.isfinite(values).all():
-        raise InvalidInputError("percentile of a population with NaN or infinite values")
     if not 0.0 <= q <= 1.0:
         raise InvalidInputError(f"percentile fraction must be in [0, 1], got {q}")
     ordered = np.sort(values)
@@ -172,31 +169,23 @@ def threshold_graph(d: np.ndarray, d_percentile: float) -> np.ndarray:
 
 
 def check_adjacency(a: np.ndarray) -> np.ndarray:
-    """Validate an adjacency matrix: square, symmetric, binary, zero diagonal."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError("adjacency matrix must be square")
-    if not np.array_equal(a, a.T):
-        raise InvalidInputError("adjacency matrix must be symmetric")
+    """Validate an adjacency matrix: square, finite and exactly symmetric
+    (``errors.check_symmetric``), then a zero diagonal and 0/1 entries."""
+    a = check_symmetric(a, "adjacency matrix")
     if np.any(np.diag(a) != 0):
         raise InvalidInputError("adjacency matrix must have a zero diagonal")
-    # NaN equals neither; -0.0 equals 0.0
+    # -0.0 equals 0.0
     if not ((a == 0.0) | (a == 1.0)).all():
         raise InvalidInputError("adjacency entries must be 0 or 1")
     return a
 
 
 def check_distances(d: np.ndarray) -> np.ndarray:
-    """Validate a distance matrix: square, finite, symmetric, zero diagonal,
-    nonnegative.  ``pairwise_distances`` meets each exactly: x_i - x_j and
+    """Validate a distance matrix: square, finite and exactly symmetric
+    (``errors.check_symmetric``), then a zero diagonal and nonnegative
+    entries.  ``pairwise_distances`` meets each exactly: x_i - x_j and
     x_j - x_i square to the same bits."""
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise InvalidInputError(f"distance matrix must be square, got shape {d.shape}")
-    if not np.isfinite(d).all():
-        raise InvalidInputError("distances must be finite, got NaN or infinite")
-    if not np.array_equal(d, d.T):
-        raise InvalidInputError("distance matrix must be symmetric")
+    d = check_symmetric(d, "distance matrix")
     if np.any(np.diag(d) != 0.0):
         raise InvalidInputError("distance matrix must have a zero diagonal")
     if np.any(d < 0.0):

@@ -20,11 +20,12 @@ contributes (-1)^m.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, NumericError
+from .errors import CapacityError, InvalidInputError, NumericError, check_symmetric
 
 __all__ = [
     "hafnian",
@@ -42,20 +43,8 @@ PNR_MAX_NODES = 26
 TABLE_TILE = 1 << 12
 
 
-def _check_symmetric(b: np.ndarray) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise InvalidInputError("matrix must be square")
-    # exact equality is the common case and ~10x cheaper than allclose;
-    # NaN never equals itself, so it still reaches allclose and is rejected
-    if not (b == b.T).all() and not np.allclose(b, b.T, rtol=0.0, atol=SYMMETRY_ATOL):
-        raise InvalidInputError("matrix must be symmetric within 1e-12")
-    # inf == inf, so an infinite entry passes the symmetry test; the bad
-    # positions are looked up only for the message
-    if not np.isfinite(b).all():
-        bad = np.argwhere(~np.isfinite(b)).tolist()
-        raise InvalidInputError(f"matrix entries must be finite; not so at {bad[:4]}")
-    return b
+# the kernels take a matrix within SYMMETRY_ATOL of symmetric
+_check_symmetric = functools.partial(check_symmetric, atol=SYMMETRY_ATOL)
 
 
 def hafnian(b: np.ndarray) -> float:
@@ -64,7 +53,7 @@ def hafnian(b: np.ndarray) -> float:
     Cost grows as (n-1)!!, so keep n small (n <= 14 or so).  Returns 1 for
     the empty matrix and 0 for odd dimension.
     """
-    b = _check_symmetric(b)
+    b = _check_symmetric(b, "matrix")
     n = b.shape[0]
     if n % 2:
         return 0.0
@@ -126,7 +115,7 @@ def hafnian_all_subsets(b: np.ndarray) -> np.ndarray:
     any summation order gives the same bits.  On weighted input the order
     matters: other orders of the same sum may differ in the last bits.
     """
-    b = _check_symmetric(b)
+    b = _check_symmetric(b, "matrix")
     n = b.shape[0]
     if n > PNR_MAX_NODES:
         raise CapacityError(
@@ -200,7 +189,7 @@ def hafnian_fast(b: np.ndarray) -> float:
     :func:`count_perfect_matchings` call it; the sampler's weight tables
     call :func:`hafnian_all_subsets` directly.
     """
-    b = _check_symmetric(b)
+    b = _check_symmetric(b, "matrix")
     if b.shape[0] % 2:
         return 0.0
     # the last packed entry is the full set
@@ -227,7 +216,7 @@ def torontonian(o: np.ndarray) -> float:
     radius condition keeps every determinant under the square root positive
     (eigenvalues of principal submatrices interlace).
     """
-    o = _check_symmetric(o)
+    o = _check_symmetric(o, "matrix")
     n = o.shape[0]
     if n % 2:
         raise InvalidInputError("torontonian input must be 2m-square")

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import gbs_engine, graph_core
-from .errors import InvalidInputError, check_integer, check_seed
+from .errors import InvalidInputError, check_integer, check_seed, check_symmetric
 from .gbs_engine import MODE_PNR, SampleBatch
 
 __all__ = [
@@ -90,6 +90,7 @@ class Clustering:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_integer("n_points", self.n_points, 1)
         seen: set[int] = set()
         for cluster in self.clusters:
             if not cluster:
@@ -135,16 +136,16 @@ def find_densest_candidate(
     sum of (H a) * H, an exact integer on a 0/1 ``a``, so each density
     equals ``graph_core.graph_density``'s bit for bit; a subset of at most
     one node scores 0.  Node tuples are built only for the rows tied at the
-    best density and size.  The batch must have one column per node of
-    ``a``, whose entries must be finite.
+    best density and size.  ``a`` must be square, finite and symmetric,
+    and the batch must have one column per node of it.
     """
+    # NaN never ties the best density, inf * 0 is NaN in H @ a, and the
+    # row sums count edges only on a symmetric a
+    a = check_symmetric(a, "graph")
     if batch.hits.shape[1] != a.shape[0]:
         raise InvalidInputError(
             f"batch has {batch.hits.shape[1]} node columns, the graph {a.shape[0]} nodes"
         )
-    if not np.isfinite(a).all():
-        # NaN never ties the best density, and inf * 0 is NaN in H @ a
-        raise InvalidInputError("graph entries must be finite")
     counts = np.count_nonzero(batch.hits, axis=1)
     keep = counts >= l_min
     if not keep.any():

@@ -90,7 +90,7 @@ class TestPercentile:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(InvalidInputError, match="NaN or infinite"):
+        with pytest.raises(InvalidInputError, match="percentile population must be finite"):
             percentile([bad, 1.0, 2.0], 0.5)
 
     def test_monotone_in_q(self):
@@ -173,9 +173,10 @@ class TestBuildAdjacency:
 
 
 class TestCheckAdjacency:
-    # NaN equals nothing, itself included, so the symmetry check meets it first
+    # finiteness is checked before symmetry, so NaN, unequal to itself, is
+    # named as what it is and not as an asymmetry
     @pytest.mark.parametrize(
-        "bad, problem", [(np.nan, "symmetric"), (2.0, "0 or 1"), (-1.0, "0 or 1")]
+        "bad, problem", [(np.nan, "finite"), (2.0, "0 or 1"), (-1.0, "0 or 1")]
     )
     def test_entries_other_than_zero_or_one_rejected(self, bad, problem):
         a = graph_from_edges(3, [(0, 1)])
@@ -219,7 +220,7 @@ class TestThresholdGraph:
         # a NaN distance once gave an edgeless graph without error
         d = compute_distance_matrix(pts((0, 0), (1, 0), (3, 0)))
         d[0, 2] = d[2, 0] = np.nan
-        with pytest.raises(InvalidInputError, match="NaN or infinite"):
+        with pytest.raises(InvalidInputError, match="distance matrix must be finite"):
             threshold_graph(d, 0.5)
 
     @pytest.mark.parametrize(

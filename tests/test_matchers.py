@@ -81,10 +81,10 @@ class TestHafnian:
         assert hafnian_fast(near) == 1.0
         far = np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]])
         nan = np.array([[0.0, np.nan], [np.nan, 0.0]])
-        for bad in (far, nan):
-            with pytest.raises(InvalidInputError, match="symmetric"):
+        for bad, problem in ((far, "symmetric within 1e-12"), (nan, "finite")):
+            with pytest.raises(InvalidInputError, match=problem):
                 hafnian(bad)
-            with pytest.raises(InvalidInputError, match="symmetric"):
+            with pytest.raises(InvalidInputError, match=problem):
                 hafnian_fast(bad)
 
     def test_fast_matches_enumeration_real_valued(self):
