@@ -115,8 +115,12 @@ class BenchConfig:
                     f"got {bounds!r}"
                 )
             setattr(self, name, tuple(bounds))
-        if self.blob_box <= 0 or self.strip_box <= 0 or self.jitter_sigma <= 0:
-            raise InvalidInputError("degenerate bounding box or jitter")
+        # a strip_jitter of 0 lays each strip's points exactly on its line
+        for name in ("strip_box", "blob_box", "jitter_sigma", "strip_jitter"):
+            value = getattr(self, name)
+            sign = "nonnegative" if name == "strip_jitter" else "positive"
+            if value < 0 or (value == 0 and sign == "positive"):
+                raise InvalidInputError(f"{name} must be {sign}, got {value!r}")
 
     @classmethod
     def from_json(cls, path) -> "BenchConfig":

@@ -1,13 +1,16 @@
 """Exception types shared across the package, and the checks that raise one.
 
-Every test of a matrix for squareness, finiteness or symmetry lives here.
-``check_symmetric`` tests, in this order, that a matrix is square, finite
-and symmetric, and names the first property that fails, so a NaN is
-reported as not finite and never as an asymmetry.  The kernels call it at
-``matchers.SYMMETRY_ATOL``, ``check_adjacency``, ``check_distances`` and
-the densest-candidate choice at exact symmetry.  ``check_finite`` is its
-finiteness step, used on its own for point coordinates, percentile
-populations and singular values.
+Every test of a matrix for squareness, finiteness or symmetry lives here,
+and there is one rule for what a valid matrix is.  ``check_symmetric``
+tests, in this order, that a matrix is square, finite and exactly
+symmetric, and names the first property that fails, so a NaN is reported
+as not finite and never as an asymmetry.  It takes no tolerance: every
+kernel, the sampler, ``check_adjacency``, ``check_distances`` and the
+densest-candidate choice hold a matrix to ``x == x.T``, so the upper and
+lower triangles they read are the same numbers.  A matrix that is
+symmetric only up to rounding is the caller's to symmetrize, as
+``(m + m.T) / 2``.  ``check_finite`` is its finiteness step, used on its
+own for point coordinates, percentile populations and singular values.
 """
 
 from numbers import Integral
@@ -65,15 +68,13 @@ def check_finite(x, what: str) -> np.ndarray:
     return x
 
 
-def check_symmetric(x, what: str, atol: float = 0.0) -> np.ndarray:
+def check_symmetric(x, what: str) -> np.ndarray:
     """``x`` as a float array; InvalidInputError, naming ``what``, unless it
-    is square, then finite, then symmetric: exactly, or within ``atol``."""
+    is square, then finite, then exactly symmetric."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise InvalidInputError(f"{what} must be square, got shape {x.shape}")
     check_finite(x, what)
-    # exact equality is the common case and ~10x cheaper than allclose
-    if np.count_nonzero(x != x.T) and not np.allclose(x, x.T, rtol=0.0, atol=atol):
-        within = f" within {atol:g}" if atol else ""
-        raise InvalidInputError(f"{what} must be symmetric{within}")
+    if np.count_nonzero(x != x.T):
+        raise InvalidInputError(f"{what} must be symmetric")
     return x

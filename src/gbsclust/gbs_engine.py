@@ -46,11 +46,11 @@ from .errors import (
     check_finite,
     check_integer,
     check_seed,
+    check_symmetric,
 )
 from .matchers import (
     PNR_MAX_NODES,
     TABLE_TILE,
-    _check_symmetric,
     hafnian_all_subsets,
     hafnian_fast,
     torontonian,
@@ -190,7 +190,7 @@ def takagi(a: np.ndarray) -> TakagiFactors:
     the reconstruction U diag(lam) U^T exact.  The sampler needs only lam,
     which ``encode`` takes from the same sorted eigenvalues without U.
     """
-    a = _check_symmetric(a, "matrix")
+    a = check_symmetric(a, "matrix")
     evals, evecs = _sorted_eigh(a)
     factors = TakagiFactors(u=evecs * np.where(evals < 0.0, 1j, 1.0), lam=np.abs(evals))
     err = np.linalg.norm(factors.reconstruct() - a)
@@ -307,7 +307,7 @@ def calibrate_scaling(lam: np.ndarray, n_mean: float) -> float:
 
 def encode(a: np.ndarray, n_mean: float, mode: str = MODE_PNR) -> GbsEncoding:
     """Takagi singular values of ``a`` and the rescaling for ``n_mean`` photons."""
-    lam = np.abs(_sorted_eigh(_check_symmetric(a, "matrix"))[0])
+    lam = np.abs(_sorted_eigh(check_symmetric(a, "matrix"))[0])
     return GbsEncoding(lam=lam, c=calibrate_scaling(lam, n_mean), n_mean=n_mean, mode=mode)
 
 
@@ -317,7 +317,7 @@ def subset_weight(a: np.ndarray, enc: GbsEncoding, subset) -> float:
     pnr_postselected: c^|S| Haf(A_S)^2, zero for odd |S|.  threshold:
     torontonian of the paired coupling block of cA restricted to S.
     """
-    a = _check_symmetric(a, "graph")
+    a = check_symmetric(a, "graph")
     idx = graph_core._subset_array(a, subset)
     k = idx.size
     if enc.mode == MODE_PNR:
@@ -458,7 +458,7 @@ class GraphSampler:
     """
 
     def __init__(self, a: np.ndarray, n_mean: float, mode: str = MODE_PNR):
-        self.a = _check_symmetric(a, "graph")
+        self.a = check_symmetric(a, "graph")
         self.m = self.a.shape[0]
         limit = max_nodes(mode)
         # a lone node's hafnian is 0, but a self-loop gives it a torontonian

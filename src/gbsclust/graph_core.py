@@ -206,8 +206,9 @@ def graph_density(a: np.ndarray, subset) -> float:
 
     Density is 2 * E_S / (n_S * (n_S - 1)).  Subsets with at most one node
     return 0 by convention (the metric-level singleton convention lives in
-    :mod:`gbsclust.metrics`).
+    :mod:`gbsclust.metrics`).  ``a`` must pass :func:`check_adjacency`.
     """
+    a = check_adjacency(a)
     idx = _subset_array(a, subset)
     n_s = idx.size
     if n_s <= 1:
@@ -228,8 +229,9 @@ def edge_counts(a: np.ndarray, subset) -> tuple[int, int]:
     """(internal, external) edge counts for a node subset.
 
     Internal edges have both endpoints in the subset, external edges exactly
-    one.
+    one.  ``a`` must pass :func:`check_adjacency`.
     """
+    a = check_adjacency(a)
     idx = _subset_array(a, subset)
     if idx.size == 0:
         return 0, 0
@@ -244,9 +246,10 @@ def connected_components(a: np.ndarray) -> list[np.ndarray]:
     """Node index arrays of the connected components of ``a``.
 
     Each array is ascending and the components are ordered by their lowest
-    node; an isolated node is a component of its own.
+    node; an isolated node is a component of its own.  Any nonzero entry
+    is an edge, so ``a`` must be square, finite and exactly symmetric.
     """
-    adj = np.asarray(a) != 0
+    adj = check_symmetric(a, "graph") != 0
     unseen = np.ones(adj.shape[0], dtype=bool)
     components = []
     for start in range(adj.shape[0]):

@@ -20,7 +20,6 @@ contributes (-1)^m.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
@@ -35,16 +34,11 @@ __all__ = [
     "torontonian",
 ]
 
-SYMMETRY_ATOL = 1e-12
 # the most nodes ``hafnian_all_subsets`` tabulates: 2^25 entries, 256 MiB
 PNR_MAX_NODES = 26
 # entries per tile of the hafnian sweep and of the sampler's pass over its
 # table: 32 KiB of floats, which stay in cache while a tile is worked on
 TABLE_TILE = 1 << 12
-
-
-# the kernels take a matrix within SYMMETRY_ATOL of symmetric
-_check_symmetric = functools.partial(check_symmetric, atol=SYMMETRY_ATOL)
 
 
 def hafnian(b: np.ndarray) -> float:
@@ -53,7 +47,7 @@ def hafnian(b: np.ndarray) -> float:
     Cost grows as (n-1)!!, so keep n small (n <= 14 or so).  Returns 1 for
     the empty matrix and 0 for odd dimension.
     """
-    b = _check_symmetric(b, "matrix")
+    b = check_symmetric(b, "matrix")
     n = b.shape[0]
     if n % 2:
         return 0.0
@@ -115,7 +109,7 @@ def hafnian_all_subsets(b: np.ndarray) -> np.ndarray:
     any summation order gives the same bits.  On weighted input the order
     matters: other orders of the same sum may differ in the last bits.
     """
-    b = _check_symmetric(b, "matrix")
+    b = check_symmetric(b, "matrix")
     n = b.shape[0]
     if n > PNR_MAX_NODES:
         raise CapacityError(
@@ -189,7 +183,7 @@ def hafnian_fast(b: np.ndarray) -> float:
     :func:`count_perfect_matchings` call it; the sampler's weight tables
     call :func:`hafnian_all_subsets` directly.
     """
-    b = _check_symmetric(b, "matrix")
+    b = check_symmetric(b, "matrix")
     if b.shape[0] % 2:
         return 0.0
     # the last packed entry is the full set
@@ -216,7 +210,7 @@ def torontonian(o: np.ndarray) -> float:
     radius condition keeps every determinant under the square root positive
     (eigenvalues of principal submatrices interlace).
     """
-    o = _check_symmetric(o, "matrix")
+    o = check_symmetric(o, "matrix")
     n = o.shape[0]
     if n % 2:
         raise InvalidInputError("torontonian input must be 2m-square")

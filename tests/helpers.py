@@ -181,6 +181,28 @@ def graph_from_edges(n: int, edges) -> np.ndarray:
     return a
 
 
+def components_union_find(a) -> list[list[int]]:
+    """Connected components by union-find over the nonzero entries above
+    the diagonal: each ascending, ordered by lowest node."""
+    n = len(a)
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for u in range(n):
+        for v in range(u + 1, n):
+            if a[u][v] != 0:
+                parent[root(u)] = root(v)
+    parts = {}
+    for i in range(n):
+        parts.setdefault(root(i), []).append(i)
+    # disjoint ascending lists sort by their first node
+    return sorted(parts.values())
+
+
 def hafnian_table_loops(b: np.ndarray) -> np.ndarray:
     """Subset hafnian table by scalar loops, one mask at a time.
 

@@ -148,6 +148,41 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match=problem):
             BenchConfig.from_json(path)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"m_min": 1}, {"m_min": 12, "m_max": 11}],
+        ids=["below-2", "above-m_max"],
+    )
+    def test_point_count_range_rejected(self, fields):
+        with pytest.raises(InvalidInputError, match="need 2 <= m_min <= m_max"):
+            BenchConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"blob_min": 0}, {"blob_min": 3, "blob_max": 2}],
+        ids=["below-1", "above-blob_max"],
+    )
+    def test_blob_count_range_rejected(self, fields):
+        with pytest.raises(InvalidInputError, match="need 1 <= blob_min <= blob_max"):
+            BenchConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("strip_box", 0.0, "positive"),
+            ("blob_box", -0.05, "positive"),
+            ("jitter_sigma", 0.0, "positive"),
+            # numpy's scale < 0 ValueError, which the CLI printed as a traceback
+            ("strip_jitter", -1.0, "nonnegative"),
+        ],
+    )
+    def test_box_and_jitter_rejected_by_name(self, field, value, problem):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be {problem}, got {value}$"):
+            BenchConfig(**{field: value})
+
+    def test_zero_strip_jitter_accepted(self):
+        assert BenchConfig(strip_jitter=0.0).strip_jitter == 0.0
+
     def test_integer_for_a_float_field_kept_as_given(self):
         assert BenchConfig(box_lat=45).box_lat == 45
 

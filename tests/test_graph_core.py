@@ -26,7 +26,7 @@ from gbsclust.graph_core import (
     upper_triangle_values,
 )
 
-from helpers import graph_from_edges
+from helpers import components_union_find, graph_from_edges
 
 
 def pts(*coords):
@@ -61,6 +61,16 @@ class TestDistanceMatrix:
         with pytest.raises(InvalidInputError):
             PointSet(ids=["a", "a"], coords=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("coords", [np.zeros(4), np.zeros((2, 3)), np.zeros((2, 2, 2))])
+    def test_coordinates_of_the_wrong_shape_rejected(self, coords):
+        with pytest.raises(InvalidInputError, match=r"coords must have shape \(M, 2\)"):
+            PointSet(ids=["a", "b"], coords=coords)
+
+    @pytest.mark.parametrize("ids", [["a"], ["a", "b", "c"]])
+    def test_id_count_other_than_the_rows_rejected(self, ids):
+        with pytest.raises(InvalidInputError, match="ids and coords length mismatch"):
+            PointSet(ids=ids, coords=np.zeros((2, 2)))
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.floats(-150.0, 150.0))
     def test_every_computed_matrix_passes_the_distance_checks(self, m, seed, log_scale):
@@ -92,6 +102,11 @@ class TestPercentile:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvalidInputError, match="percentile population must be finite"):
             percentile([bad, 1.0, 2.0], 0.5)
+
+    @pytest.mark.parametrize("q", [-0.1, 1.5, np.nan])
+    def test_fraction_outside_the_unit_interval_rejected(self, q):
+        with pytest.raises(InvalidInputError, match=r"percentile fraction must be in \[0, 1\]"):
+            percentile([1.0, 2.0], q)
 
     def test_monotone_in_q(self):
         rng = np.random.default_rng(3)
@@ -332,6 +347,35 @@ class TestConnectedComponents:
         parts = connected_components(np.zeros((3, 3)))
         assert [p.tolist() for p in parts] == [[0], [1], [2]]
 
+    def test_one_sided_entry_rejected(self):
+        # edges 0-1 and 2-3 with a one-sided (2, 0) entry: read as an edge
+        # from 2 only, it gave the overlapping [[0, 1], [0, 1, 2, 3]]
+        a = graph_from_edges(4, [(0, 1), (2, 3)])
+        a[2, 0] = 1e-13
+        with pytest.raises(InvalidInputError, match="graph must be symmetric"):
+            connected_components(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_partition_equals_union_find(self, data):
+        n = data.draw(st.integers(0, 20))
+        nodes = st.integers(0, n - 1) if n else st.nothing()
+        # any nonzero entry is an edge, a diagonal one included
+        entries = st.tuples(nodes, nodes, st.sampled_from([1.0, 0.5, -2.0]))
+        a = np.zeros((n, n))
+        for u, v, w in data.draw(st.lists(entries, max_size=2 * n)):
+            a[u, v] = a[v, u] = w
+        parts = [p.tolist() for p in connected_components(a)]
+        assert sorted(i for p in parts for i in p) == list(range(n))
+        assert all(p == sorted(p) for p in parts)
+        assert [p[0] for p in parts] == sorted(p[0] for p in parts)
+        label = np.empty(n, dtype=int)
+        for k, p in enumerate(parts):
+            label[p] = k
+        u, v = np.nonzero(a)
+        assert np.array_equal(label[u], label[v])
+        assert parts == components_union_find(a)
+
 
 class TestFileFormats:
     def test_points_csv_roundtrip(self, tmp_path):
@@ -355,6 +399,13 @@ class TestFileFormats:
         with pytest.raises(InvalidInputError, match=r"points\.csv, line 3"):
             load_points_csv(path)
 
+    @pytest.mark.parametrize("row", ["p1,45.0", "p1,45.0,7.0,1"])
+    def test_malformed_row_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "points.csv"
+        path.write_text(f"id,lat,lon\np0,45.0,7.0\n{row}\n")
+        with pytest.raises(InvalidInputError, match=r"malformed row .* in .*points\.csv, line 3$"):
+            load_points_csv(path)
+
     def test_edge_list_roundtrip(self, tmp_path):
         a = graph_from_edges(5, [(0, 1), (1, 4), (2, 3)])
         path = tmp_path / "graph.txt"
@@ -366,6 +417,13 @@ class TestFileFormats:
         path = tmp_path / "graph.txt"
         path.write_text(f"0 1\n\n{line}\n")
         with pytest.raises(InvalidInputError, match=r"graph\.txt, line 3"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("line", ["3", "0 1 2"])
+    def test_edge_list_malformed_line_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "graph.txt"
+        path.write_text(f"0 1\n\n{line}\n")
+        with pytest.raises(InvalidInputError, match=r"malformed edge line .* in .*graph\.txt, line 3$"):
             read_edge_list(path)
 
     @pytest.mark.parametrize(

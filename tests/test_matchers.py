@@ -76,12 +76,10 @@ class TestHafnian:
             hafnian_fast(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_symmetry_tolerance_and_nan(self):
+        # there is no tolerance: a 1e-13 asymmetry is rejected
         near = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
-        assert hafnian(near) == 1.0
-        assert hafnian_fast(near) == 1.0
-        far = np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]])
         nan = np.array([[0.0, np.nan], [np.nan, 0.0]])
-        for bad, problem in ((far, "symmetric within 1e-12"), (nan, "finite")):
+        for bad, problem in ((near, "matrix must be symmetric$"), (nan, "finite")):
             with pytest.raises(InvalidInputError, match=problem):
                 hafnian(bad)
             with pytest.raises(InvalidInputError, match=problem):
