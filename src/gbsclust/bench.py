@@ -115,10 +115,12 @@ class BenchConfig:
                     f"got {bounds!r}"
                 )
             setattr(self, name, tuple(bounds))
-        # a strip_jitter of 0 lays each strip's points exactly on its line
-        for name in ("strip_box", "blob_box", "jitter_sigma", "strip_jitter"):
+        # a strip_jitter of 0 lays each strip's points exactly on its line,
+        # and a separation of 0 takes the first centres drawn
+        positive = ("strip_box", "blob_box", "jitter_sigma")
+        for name in positive + ("strip_jitter", "strip_separation", "blob_separation"):
             value = getattr(self, name)
-            sign = "nonnegative" if name == "strip_jitter" else "positive"
+            sign = "positive" if name in positive else "nonnegative"
             if value < 0 or (value == 0 and sign == "positive"):
                 raise InvalidInputError(f"{name} must be {sign}, got {value!r}")
 
@@ -200,13 +202,29 @@ def _ids(m: int) -> list[str]:
     return [f"p{i:03d}" for i in range(m)]
 
 
+def _centers(rng, count: int, config: BenchConfig, profile: str) -> np.ndarray:
+    """``count`` centres drawn uniformly in the profile's box, redrawn until
+    every two are at least its separation apart.
+
+    The box and the separation are the config's ``{profile}_box`` and
+    ``{profile}_separation``.  After 300 draws that all fail,
+    InvalidInputError names the separation.
+    """
+    box = getattr(config, f"{profile}_box")
+    separation = getattr(config, f"{profile}_separation")
+    for _ in range(300):
+        lat = rng.uniform(config.box_lat, config.box_lat + box, count)
+        centers = np.column_stack([lat, rng.uniform(config.box_lon, config.box_lon + box, count)])
+        gaps = graph_core.pairwise_distances(centers)
+        if count == 1 or gaps[np.triu_indices(count, 1)].min() >= separation:
+            return centers
+    raise InvalidInputError(
+        f"{profile}_separation {separation!r} not met by {count} centres after 300 draws"
+    )
+
+
 def _strip_dataset(rng, m, config: BenchConfig) -> graph_core.PointSet:
-    lo, hi = config.box_lat, config.box_lat + config.strip_box
-    lo2, hi2 = config.box_lon, config.box_lon + config.strip_box
-    for _ in range(200):
-        centers = np.column_stack([rng.uniform(lo, hi, 2), rng.uniform(lo2, hi2, 2)])
-        if np.linalg.norm(centers[0] - centers[1]) >= config.strip_separation:
-            break
+    centers = _centers(rng, 2, config, "strip")
     assignment = np.arange(m) % 2
     spacings = [
         rng.uniform(*config.strip_spacing_short),
@@ -229,16 +247,7 @@ def _strip_dataset(rng, m, config: BenchConfig) -> graph_core.PointSet:
 
 def _blob_dataset(rng, m, config: BenchConfig) -> graph_core.PointSet:
     n_blobs = int(rng.integers(config.blob_min, config.blob_max + 1))
-    for _ in range(300):
-        centers = np.column_stack(
-            [
-                rng.uniform(config.box_lat, config.box_lat + config.blob_box, n_blobs),
-                rng.uniform(config.box_lon, config.box_lon + config.blob_box, n_blobs),
-            ]
-        )
-        gaps = graph_core.pairwise_distances(centers)
-        if n_blobs == 1 or gaps[np.triu_indices(n_blobs, 1)].min() >= config.blob_separation:
-            break
+    centers = _centers(rng, n_blobs, config, "blob")
     assignment = np.arange(m) % n_blobs
     coords = centers[assignment] + rng.normal(0.0, config.jitter_sigma, (m, 2))
     return graph_core.PointSet(ids=_ids(m), coords=coords)

@@ -434,39 +434,41 @@ def _threshold_weights(a: np.ndarray, c: float) -> np.ndarray:
 class GraphSampler:
     """Exact GBS sampler of one graph.
 
-    The constructor checks the mode and the enumeration bound of every
-    connected component, raising CapacityError before anything is
-    allocated.  The first ``draw``, or the first read of ``tables``, takes
-    c from ``encode``, calibrated for ``n_mean`` photons on the whole graph's
-    singular values, and tabulates every component of two or more nodes, raising
-    DegenerateGraphError for an all-zero matrix: a hafnian sweep in
-    photon-counting mode, a node-elimination sweep and its torontonian
-    (Moebius) transform in threshold mode.  Each
-    table is kept as the cumulative weights of the component's subsets in
-    local mask order (local bit b is node ``components[k][b]``).  A k-node
-    threshold table has 2^k entries, one per mask.  A photon-counting table
-    has 2^(k-1): an odd subset has no perfect matching, so entry i holds
-    the even-popcount mask of the pair {2i, 2i + 1}, as
-    ``hafnian_all_subsets`` packs it.  A zero weight never moves a
-    cumulative sum, so a draw picks the same subset as it would from the
-    nonzero weights alone.  A lone node is tabulated only in threshold mode
-    and only with a self-loop; any other lone node is never drawn.  A draw
-    costs O(n_samples * M * K) for K components and the tables take the sum
-    of their entries; the product over the whole graph is never formed.  The
-    tables live exactly as long as the sampler, so its owner decides how long
-    the memory stays in use.
+    The constructor checks the graph once, as
+    ``graph_core.connected_components`` finds its components, then the mode
+    and the enumeration bound of every connected component, raising
+    CapacityError before anything is allocated.  The first ``draw``, or the
+    first read of ``tables``, takes c from ``encode``, calibrated for
+    ``n_mean`` photons on the whole graph's singular values, and tabulates
+    every component of two or more nodes, raising DegenerateGraphError for
+    an all-zero matrix: a hafnian sweep in photon-counting mode, a
+    node-elimination sweep and its torontonian (Moebius) transform in
+    threshold mode.  Each table is kept as the cumulative weights of the
+    component's subsets in local mask order (local bit b is node
+    ``components[k][b]``).  A k-node threshold table has 2^k entries, one
+    per mask.  A photon-counting table has 2^(k-1): an odd subset has no
+    perfect matching, so entry i holds the even-popcount mask of the pair
+    {2i, 2i + 1}, as ``hafnian_all_subsets`` packs it.  A zero weight never
+    moves a cumulative sum, so a draw picks the same subset as it would from
+    the nonzero weights alone.  A lone node is tabulated only in threshold
+    mode and only with a self-loop; any other lone node is never drawn.  A
+    draw costs O(n_samples * M * K) for K components and the tables take the
+    sum of their entries; the product over the whole graph is never formed.
+    The tables live exactly as long as the sampler, so its owner decides how
+    long the memory stays in use.
     """
 
     def __init__(self, a: np.ndarray, n_mean: float, mode: str = MODE_PNR):
-        self.a = check_symmetric(a, "graph")
-        self.m = self.a.shape[0]
-        limit = max_nodes(mode)
+        # connected_components checks the graph, before the mode is checked;
         # a lone node's hafnian is 0, but a self-loop gives it a torontonian
+        self.a = np.asarray(a, dtype=float)
         self.components = [
             nodes
             for nodes in graph_core.connected_components(self.a)
             if nodes.size > 1 or (mode == MODE_THRESHOLD and self.a[nodes[0], nodes[0]])
         ]
+        self.m = self.a.shape[0]
+        limit = max_nodes(mode)
         # a photon-counting table is packed: local bit 0 follows from parity
         packed = int(mode == MODE_PNR)
         for nodes in self.components:

@@ -218,7 +218,10 @@ def graph_density(a: np.ndarray, subset) -> float:
 
 
 def induced_subgraph(a: np.ndarray, subset) -> np.ndarray:
-    """Adjacency restricted to ``subset``; rows follow ascending node index."""
+    """Adjacency restricted to ``subset``; rows follow ascending node index.
+
+    ``a`` must be square, finite and exactly symmetric."""
+    a = check_symmetric(a, "graph")
     idx = _subset_array(a, subset)
     if idx.size == 0:
         raise InvalidInputError("induced subgraph of an empty subset")

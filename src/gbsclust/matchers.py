@@ -24,7 +24,8 @@ import itertools
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, NumericError, check_symmetric
+from . import graph_core
+from .errors import CapacityError, InvalidInputError, check_symmetric
 
 __all__ = [
     "hafnian",
@@ -91,8 +92,8 @@ def hafnian_all_subsets(b: np.ndarray) -> np.ndarray:
     The block is walked in tiles of up to ``TABLE_TILE`` entries, which
     stay in cache while every update, j ascending, is applied to them, so
     each entry receives the same adds in the same order as in a sweep of
-    whole blocks.  Node 0's update, and in a full tile an update whose
-    runs are at most 1/64 of it, is one contiguous shifted add of the
+    whole blocks.  Node 0's update, and an update whose runs are at most
+    1/64 of the tile, is one contiguous shifted add of the
     source ANDed, as int64 bits, with a 0 / -1 mask over the tile's
     offsets.  x & 0 is +0.0 for every float x, inf and NaN included (a
     0.0 / 1.0 product would turn inf into NaN), and adding a zero leaves an
@@ -100,7 +101,7 @@ def hafnian_all_subsets(b: np.ndarray) -> np.ndarray:
     when both its terms are.  Runs of half a tile or more are one add to
     the tile's upper half, to all of it, or to none of it; the runs between
     are strided views.  The parity mask covers two tiles, and a run's mask
-    is built when a full tile first takes it.  O(n * 2^(n-1)) time, and
+    one, built when a tile first takes it.  O(n * 2^(n-1)) time, and
     O(2^(n-1)) memory plus O(tile) for the masks; the sampler calls it
     once per connected component.
 
@@ -123,15 +124,10 @@ def hafnian_all_subsets(b: np.ndarray) -> np.ndarray:
     width = min(max(table.size >> 1, 1), TABLE_TILE)
     # parity[i] is -1 where i has even popcount, and a tile whose start has
     # odd popcount reads it from offset width on
-    parity = np.empty(2 * width, dtype=np.int64)
-    parity[:8] = (-1, 0, 0, -1, 0, -1, -1, 0)[:parity.size]
-    s = 8
-    while s < parity.size:
-        # offset s + i has one more bit set than offset i
-        np.invert(parity[:s], out=parity[s:2 * s])
-        s *= 2
-    # runs[j] is -1 at the offsets with bit j - 1 set, built when a full
-    # tile first takes it
+    parity = (np.bitwise_count(np.arange(2 * width)) & 1).astype(np.int64)
+    parity -= 1
+    # runs[j] is -1 at the offsets with bit j - 1 set, built when a tile
+    # first takes it
     runs = {}
     columns = b.T.tolist()
     for h in range(1, n):
@@ -150,12 +146,12 @@ def hafnian_all_subsets(b: np.ndarray) -> np.ndarray:
                     mask = parity[start:start + step]
                     source = np.bitwise_and(bits[t0:t0 + step], mask).view(np.float64)
                     target = tile
-                elif 64 * run <= step == TABLE_TILE:
-                    # in a full tile, a strided view would pay for each of 32 or more runs
+                elif 64 * run <= step:
+                    # a strided view would pay for each of 32 or more runs
                     if j not in runs:
-                        runs[j] = np.zeros(step, dtype=np.int64)
+                        runs[j] = np.zeros(width, dtype=np.int64)
                         runs[j].reshape(-1, 2, run)[:, 1, :] = -1
-                    mask = runs[j][run:]
+                    mask = runs[j][run:step]
                     source = np.bitwise_and(bits[t0:t0 + mask.size], mask).view(np.float64)
                     target = tile[run:]
                 elif 2 * run < step:
@@ -179,9 +175,9 @@ def hafnian_fast(b: np.ndarray) -> float:
 
     Memory is O(2^(n-1)).  An odd matrix is 0 without a table, so only an
     even one of more than ``PNR_MAX_NODES`` nodes raises CapacityError.
-    ``gbs_engine.subset_weight`` and
-    :func:`count_perfect_matchings` call it; the sampler's weight tables
-    call :func:`hafnian_all_subsets` directly.
+    ``gbs_engine.subset_weight`` calls it; the sampler's weight tables and
+    :func:`count_perfect_matchings` call :func:`hafnian_all_subsets`
+    directly.
     """
     b = check_symmetric(b, "matrix")
     if b.shape[0] % 2:
@@ -193,14 +189,14 @@ def hafnian_fast(b: np.ndarray) -> float:
 def count_perfect_matchings(a: np.ndarray) -> int:
     """Number of perfect matchings of the graph with adjacency ``a``.
 
-    The hafnian of a 0/1 adjacency matrix is exactly this count; the result
-    is checked to be a nonnegative integer.
+    ``a`` must pass ``graph_core.check_adjacency``.  The hafnian of a 0/1
+    adjacency matrix is exactly this count, and the sweep reads it exactly:
+    every entry of its table is an integer below 2^53.
     """
-    value = hafnian_fast(a)
-    nearest = round(value)
-    if abs(value - nearest) > 1e-6 or nearest < 0:
-        raise NumericError(f"matching count came out non-integral: {value}")
-    return int(nearest)
+    a = graph_core.check_adjacency(a)
+    # an odd graph has no perfect matching, and its packed table no entry
+    # for the full set
+    return 0 if a.shape[0] % 2 else int(hafnian_all_subsets(a)[-1])
 
 
 def torontonian(o: np.ndarray) -> float:

@@ -62,6 +62,15 @@ class TestGenerateDataset:
         b = points.coords[1::2].mean(axis=0)
         assert np.linalg.norm(a - b) >= config.strip_separation * 0.9
 
+    @pytest.mark.parametrize("profile", ["strip", "blob"])
+    def test_unmet_separation_named(self, profile):
+        # 1.0 is past the diagonal of either box; the last of the draws was
+        # kept, and strips came out 0.047 apart
+        field = f"{profile}_separation"
+        config = BenchConfig(**{field: 1.0})
+        with pytest.raises(InvalidInputError, match=f"^{field} 1.0 not met by .* after 300 draws$"):
+            generate_dataset(0, 20, config, profile=profile)
+
     def test_too_few_points_rejected(self):
         with pytest.raises(InvalidInputError):
             generate_dataset(0, 1, SMALL)
@@ -174,6 +183,8 @@ class TestConfig:
             ("jitter_sigma", 0.0, "positive"),
             # numpy's scale < 0 ValueError, which the CLI printed as a traceback
             ("strip_jitter", -1.0, "nonnegative"),
+            ("strip_separation", -0.01, "nonnegative"),
+            ("blob_separation", -1.0, "nonnegative"),
         ],
     )
     def test_box_and_jitter_rejected_by_name(self, field, value, problem):

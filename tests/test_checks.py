@@ -29,6 +29,7 @@ from gbsclust.graph_core import (
     connected_components,
     edge_counts,
     graph_density,
+    induced_subgraph,
     threshold_graph,
 )
 from gbsclust.matchers import (
@@ -97,6 +98,7 @@ MATRIX_ARGUMENTS = {
     "connected_components": (connected_components, PATH),
     "graph_density": (lambda x: graph_density(x, [0, 1]), PATH),
     "edge_counts": (lambda x: edge_counts(x, [0, 1]), PATH),
+    "induced_subgraph": (lambda x: induced_subgraph(x, [0, 1]), PATH),
     "dbscan": (lambda x: dbscan(x, 1.2, 2), DISTANCES),
     "dbscan_with_postprocess[d]": (lambda x: dbscan_with_postprocess(x, 1.2, 2, PATH), DISTANCES),
     "dbscan_with_postprocess[a]": (lambda x: dbscan_with_postprocess(DISTANCES, 0.5, 2, x), PATH),
@@ -133,6 +135,22 @@ class TestMatrixArguments:
         # a 4 x 5 graph ended in numpy's broadcast ValueError
         with pytest.raises(InvalidInputError, match=r"graph must be square, got shape \(4, 5\)"):
             find_densest_candidate(FIRST_EDGE, np.zeros((4, 5)), 2)
+
+    @pytest.mark.parametrize("bad, problem", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_sampler_names_the_graph_before_the_mode(self, bad, problem):
+        # connected_components is the sampler's one check of its graph
+        with pytest.raises(InvalidInputError, match=f"graph must be {problem}"):
+            GraphSampler(bad, 1.0, mode="no such mode")
+
+    @pytest.mark.parametrize(
+        "a, problem",
+        [([[0.0, 2.0], [2.0, 0.0]], "0 or 1"), ([[1.0, 1.0], [1.0, 1.0]], "zero diagonal")],
+        ids=["weighted", "self-loops"],
+    )
+    def test_matching_count_takes_only_a_graph(self, a, problem):
+        # the rounded hafnian counted 2 and 1 perfect matchings here
+        with pytest.raises(InvalidInputError, match=problem):
+            count_perfect_matchings(a)
 
 
 def two_edges_one_sided():

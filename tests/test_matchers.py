@@ -159,11 +159,13 @@ class TestTiledSweep:
     Tiles of 2-16 entries make every level past the first few span many
     tiles, so node 0's masked update meets tiles of odd popcount, and runs
     of half a tile or more take whole-tile adds or none; 64 and 128 entries
-    also give masked runs (of at most 1/64 of a full tile) and strided ones.
+    also give masked runs (of at most 1/64 of a tile) and strided ones, and
+    256 gives masked runs in the partial tiles of blocks of 64 and 128
+    entries.
     """
 
     @settings(max_examples=80, deadline=None)
-    @given(b=symmetric_matrices(), tile=st.sampled_from([2, 4, 8, 16, 64, 128]))
+    @given(b=symmetric_matrices(), tile=st.sampled_from([2, 4, 8, 16, 64, 128, 256]))
     def test_equals_the_untiled_sweep(self, b, tile):
         with mock.patch.object(matchers, "TABLE_TILE", tile):
             table = hafnian_all_subsets(b)
